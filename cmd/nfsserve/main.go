@@ -224,11 +224,7 @@ func main() {
 		reg.CounterFunc("nfstrace_records_total", capt.Total)
 	}
 
-	srv, err := nfsd.NewServerOpts(*addr, svc, rpcnet.ServerOptions{
-		Tap:    tap,
-		Faults: faults,
-		Spans:  svc.SpanTable(),
-	})
+	srv, err := nfsd.NewServer(*addr, svc, rpcnet.ServerOptions{Tap: tap, Faults: faults})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nfsserve:", err)
 		os.Exit(1)

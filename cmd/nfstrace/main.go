@@ -27,9 +27,11 @@ import (
 
 	"nfstricks/cmd/internal/filespec"
 	"nfstricks/internal/memfs"
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
 	"nfstricks/internal/nfstrace"
 	"nfstricks/internal/replay"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/tracefile"
 )
 
@@ -103,7 +105,7 @@ func cmdCapture(args []string) error {
 		return err
 	}
 	capt := nfstrace.NewCapture(w)
-	srv, err := memfs.NewServerTap(*addr, memfs.NewService(store, nil, nil), capt.Tap)
+	srv, err := nfsd.NewServer(*addr, nfsd.New(store, nfsd.Config{}), rpcnet.ServerOptions{Tap: capt.Tap})
 	if err != nil {
 		capt.Close()
 		return err

@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"nfstricks/internal/memfs"
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
 	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/stats"
@@ -54,8 +55,8 @@ func newAllocProfileEnv() (*allocProfileEnv, error) {
 		payload[i] = byte(i * 17)
 	}
 	fs.Create(memfs.RootFH, "data", payload)
-	svc := memfs.NewService(fs, nil, nil)
-	srv, err := memfs.NewServer("127.0.0.1:0", svc)
+	svc := nfsd.New(fs, nfsd.Config{})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		return nil, err
 	}

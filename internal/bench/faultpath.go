@@ -80,7 +80,7 @@ func faultCell(network string, lossPct int, drcOn bool, triplets, run int, p Par
 		}
 		inj = rpcnet.NewFaultInjector(cfg)
 	}
-	srv, err := nfsd.NewServerOpts("127.0.0.1:0", svc, rpcnet.ServerOptions{Faults: inj})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{Faults: inj})
 	if err != nil {
 		return r, err
 	}

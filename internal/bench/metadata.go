@@ -7,6 +7,7 @@ import (
 	"nfstricks/internal/memfs"
 	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/stats"
 	"nfstricks/internal/vfs"
 	"nfstricks/internal/zonefs"
@@ -57,7 +58,7 @@ func metaCell(backendKind string, entries, run int, p Params) (metaRates, error)
 	}
 	svc := nfsd.New(backend, nfsd.Config{})
 	defer svc.Close()
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		return r, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"nfstricks/internal/memfs"
 	"nfstricks/internal/nfsd"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/vfs"
 )
 
@@ -49,7 +50,7 @@ func TestLiveReaddirPagingMidMutation(t *testing.T) {
 	fs := memfs.NewFS()
 	svc := nfsd.New(fs, nfsd.Config{})
 	defer svc.Close()
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestLiveReaddirCreateDoesNotInvalidate(t *testing.T) {
 	fs := memfs.NewFS()
 	svc := nfsd.New(fs, nfsd.Config{})
 	defer svc.Close()
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"nfstricks/internal/memfs"
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/stats"
 	"nfstricks/internal/wgather"
 )
@@ -59,7 +61,7 @@ func writePathPattern(buf []byte, i int, off uint64) {
 // integrity checks.
 type writePathEnv struct {
 	fs   *memfs.FS
-	svc  *memfs.Service
+	svc  *nfsd.Service
 	mem  *wgather.MemSink
 	addr string
 	fhs  []nfsproto.FH
@@ -75,11 +77,11 @@ func newWritePathEnv(window time.Duration, sinkLatency time.Duration, perClient 
 		fhs[i], _ = fs.Create(memfs.RootFH, fmt.Sprintf("w%d", i), make([]byte, perClient))
 	}
 	mem := wgather.NewMemSink()
-	svc := memfs.NewServiceGather(fs, nil, nil, wgather.Config{
+	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{
 		Window: window,
 		Sink:   &wgather.ThrottledSink{Inner: mem, Latency: sinkLatency},
-	})
-	srv, err := memfs.NewServer("127.0.0.1:0", svc)
+	}})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		svc.Close()
 		return nil, err
@@ -272,8 +274,8 @@ func checkWriteThroughEquivalence() error {
 	fs := memfs.NewFS()
 	fh, _ := fs.Create(memfs.RootFH, "sync", nil)
 	mem := wgather.NewMemSink()
-	svc := memfs.NewServiceGather(fs, nil, nil, wgather.Config{Window: 0, Sink: mem})
-	srv, err := memfs.NewServer("127.0.0.1:0", svc)
+	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: 0, Sink: mem}})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		svc.Close()
 		return err

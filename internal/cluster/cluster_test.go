@@ -461,3 +461,105 @@ func TestFenceParksPostFlipWriteUntilDelta(t *testing.T) {
 		t.Fatalf("delta pass reverted the post-flip write: file holds %d, want 2", got)
 	}
 }
+
+// TestRebalanceReshipsWriteParkedAcrossTracking drives the lost-update
+// interleaving behind TestRebalancePreservesRacingWrites's rare
+// failures, deterministically and on both legs: a WRITE to a migrating
+// handle is admitted on its source shard while dirty tracking is still
+// off, then held at the guard's pre-execute seam while the rebalance
+// turns tracking on (hookAfterTracking) and copies the file. Released
+// once the new map is published, it executes on the source before the
+// quiesce completes. Only a dirty mark taken after executing puts it in
+// the delta pass; a mark taken at admission, with tracking off, loses
+// the acked write on the new owner.
+func TestRebalanceReshipsWriteParkedAcrossTracking(t *testing.T) {
+	for _, leg := range []string{"add", "drain"} {
+		t.Run(leg, func(t *testing.T) {
+			c := newTestCluster(t, 2)
+			cl, err := DialClient("tcp", c.CtrlAddr(), ClientConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+
+			// The map the membership change will publish: ownership
+			// depends on shard ids alone, and an added shard takes the
+			// next id.
+			cur := c.Map()
+			var next *Map
+			if leg == "add" {
+				next = NewMap(cur.Version+1, append(append([]ShardInfo(nil), cur.Shards...), ShardInfo{ID: c.nextID}))
+			} else {
+				next = NewMap(cur.Version+1, cur.Shards[1:])
+			}
+			var fh nfsproto.FH
+			var src uint32
+			for i := 0; ; i++ {
+				f, err := cl.Create(fmt.Sprintf("m%d", i), 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				from, _ := cur.OwnerID(uint64(f))
+				to, _ := next.OwnerID(uint64(f))
+				if from != to {
+					fh, src = f, from
+					break
+				}
+			}
+
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			var once sync.Once
+			c.shards[src].guard.hookBeforeExec = func() {
+				once.Do(func() {
+					close(entered)
+					<-release
+				})
+			}
+			done := make(chan error, 1)
+			go func() {
+				body, err := cl.Call(nfsproto.ProcWrite, fh, (&nfsproto.WriteArgs{
+					FH: fh, Count: 8, Stable: nfsproto.WriteFileSync,
+					Data: binary.BigEndian.AppendUint64(nil, 1),
+				}).Marshal())
+				if err == nil && binary.BigEndian.Uint32(body) != nfsproto.OK {
+					err = fmt.Errorf("nfs status %d", binary.BigEndian.Uint32(body))
+				}
+				done <- err
+			}()
+			<-entered // admitted under cur, tracking off
+
+			c.hookAfterTracking = func() {
+				// Hold the write until the copy pass has shipped the
+				// file's old bytes and the flip is published; the
+				// quiesce that follows waits for it.
+				go func() {
+					for c.Map().Version != next.Version {
+						time.Sleep(100 * time.Microsecond)
+					}
+					close(release)
+				}()
+			}
+			if leg == "add" {
+				_, _, err = c.AddShard()
+			} else {
+				_, err = c.Drain(cur.Shards[0].ID)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("write: %v", err)
+			}
+
+			owner, _ := c.Map().OwnerID(uint64(fh))
+			data, _, err := c.shards[owner].fs.Read(fh, 0, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := binary.BigEndian.Uint64(data); got != 1 {
+				t.Fatalf("lost update: new owner %d holds %d, last acked 1", owner, got)
+			}
+		})
+	}
+}

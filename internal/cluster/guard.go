@@ -50,6 +50,10 @@ type guard struct {
 
 	redirects *obs.Counter
 	creates   *obs.Counter
+
+	// hookBeforeExec is a test seam run just before a request executes
+	// (admitted, past the fence); nil outside tests.
+	hookBeforeExec func()
 }
 
 // fence is the rebalance write barrier. It is installed on every
@@ -176,7 +180,13 @@ func (g *guard) handler(info rpcnet.CallInfo, proc uint32, body, reply []byte) (
 		if f := g.fence.Load(); f != nil && f.covers(g.id, uint64(fh)) {
 			<-f.done
 		}
-		g.markDirty(fh)
+		// Mark once executed, before release: a mutation admitted before
+		// tracking began that executes after the copy pass read its file
+		// is marked with tracking on, and quiesce waits for the mark.
+		defer g.markDirty(fh)
+	}
+	if g.hookBeforeExec != nil {
+		g.hookBeforeExec()
 	}
 	if proc == ProcClusterCreate {
 		return g.clusterCreate(info, body, reply)
@@ -203,8 +213,8 @@ func (g *guard) clusterCreate(info rpcnet.CallInfo, body, reply []byte) ([]byte,
 		info.Span.Mark(obs.StageExec)
 		return reply, sunrpc.AcceptGarbageArgs
 	}
-	// handler already dirty-marked the handle (ProcClusterCreate is in
-	// mutates and args.FH is the peeked routing handle).
+	// handler dirty-marks the handle once this returns (ProcClusterCreate
+	// is in mutates and args.FH is the peeked routing handle).
 	err := g.fs.CreateAt(vfs.RootFH, args.Name, args.FH, make([]byte, args.Size))
 	info.Span.Mark(obs.StageExec)
 	if err != nil {

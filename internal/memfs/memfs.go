@@ -3,8 +3,8 @@
 // data bytes with copy-on-write read views, plus the live NFS client
 // and its biod-style write-behind pipeline. The protocol work — proc
 // dispatch, nfsheur read-ahead heuristics, write gathering, tracing —
-// lives in internal/nfsd; the Service/NewService names here are thin
-// compatibility wrappers that mount an FS behind that dispatch layer.
+// lives in internal/nfsd, which mounts an FS with
+// nfsd.New(fs, nfsd.Config{...}) and serves it with nfsd.NewServer.
 package memfs
 
 import (
@@ -15,13 +15,9 @@ import (
 	"sync"
 	"time"
 
-	"nfstricks/internal/nfsd"
-	"nfstricks/internal/nfsheur"
 	"nfstricks/internal/nfsproto"
-	"nfstricks/internal/readahead"
 	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/vfs"
-	"nfstricks/internal/wgather"
 )
 
 // RootFH is the file handle of the root directory.
@@ -58,6 +54,19 @@ type dirState struct {
 	entries    map[string]dirent
 	nextCookie uint64
 	verf       uint64
+	// order lists every linked name in ascending cookie order — append
+	// order, since cookies only grow — so Readdir resumes a scan by
+	// binary search instead of sorting the directory. A slot whose name
+	// was unlinked (or re-linked under a newer cookie) is stale; dead
+	// counts stale slots, which are dropped once they are half of order.
+	order []dirSlot
+	dead  int
+}
+
+// dirSlot is one position in a directory's cookie order.
+type dirSlot struct {
+	cookie uint64
+	name   string
 }
 
 // object is one store object. Exactly one of the two roles applies:
@@ -110,6 +119,7 @@ func (fs *FS) dirAt(fh nfsproto.FH) (*object, error) {
 // link adds name→fh to d with a fresh cookie (caller holds fs.mu).
 func (fs *FS) link(d *dirState, name string, fh nfsproto.FH) {
 	d.entries[name] = dirent{fh: fh, cookie: d.nextCookie}
+	d.order = append(d.order, dirSlot{cookie: d.nextCookie, name: name})
 	d.nextCookie++
 }
 
@@ -119,6 +129,17 @@ func (fs *FS) link(d *dirState, name string, fh nfsproto.FH) {
 func (d *dirState) unlink(name string) {
 	delete(d.entries, name)
 	d.verf++
+	d.dead++
+	if 2*d.dead > len(d.order) {
+		live := d.order[:0]
+		for _, sl := range d.order {
+			if e, ok := d.entries[sl.name]; ok && e.cookie == sl.cookie {
+				live = append(live, sl)
+			}
+		}
+		clear(d.order[len(live):])
+		d.order, d.dead = live, 0
+	}
 }
 
 // Create adds a file under dir with the given contents, replacing any
@@ -233,7 +254,9 @@ func (fs *FS) Mkdir(dir nfsproto.FH, name string) (nfsproto.FH, error) {
 }
 
 // Readdir returns up to maxEntries entries of dir with cookies
-// strictly greater than cookie, ascending (vfs.Backend).
+// strictly greater than cookie, ascending; maxEntries 0 returns them
+// all (vfs.Backend). A page costs O(log n + maxEntries), not a sort of
+// the directory.
 func (fs *FS) Readdir(dir nfsproto.FH, cookie, cookieverf uint64, maxEntries int) (vfs.ReaddirPage, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -244,20 +267,20 @@ func (fs *FS) Readdir(dir nfsproto.FH, cookie, cookieverf uint64, maxEntries int
 	if cookie != 0 && cookieverf != d.dir.verf {
 		return vfs.ReaddirPage{}, fmt.Errorf("%w: verf %d != %d", vfs.ErrBadCookie, cookieverf, d.dir.verf)
 	}
-	page := vfs.ReaddirPage{Cookieverf: d.dir.verf}
-	for name, e := range d.dir.entries {
-		if e.cookie > cookie {
-			page.Entries = append(page.Entries, vfs.DirEntry{
-				FH: e.fh, Name: name, Cookie: e.cookie, Attr: fs.objs[e.fh].attr()})
+	page := vfs.ReaddirPage{Cookieverf: d.dir.verf, EOF: true}
+	order := d.dir.order
+	i := sort.Search(len(order), func(i int) bool { return order[i].cookie > cookie })
+	for ; i < len(order); i++ {
+		e, ok := d.dir.entries[order[i].name]
+		if !ok || e.cookie != order[i].cookie {
+			continue
 		}
-	}
-	sort.Slice(page.Entries, func(i, j int) bool {
-		return page.Entries[i].Cookie < page.Entries[j].Cookie
-	})
-	if maxEntries > 0 && len(page.Entries) > maxEntries {
-		page.Entries = page.Entries[:maxEntries:maxEntries]
-	} else {
-		page.EOF = true
+		if maxEntries > 0 && len(page.Entries) == maxEntries {
+			page.EOF = false
+			break
+		}
+		page.Entries = append(page.Entries, vfs.DirEntry{
+			FH: e.fh, Name: order[i].name, Cookie: e.cookie, Attr: fs.objs[e.fh].attr()})
 	}
 	return page, nil
 }
@@ -531,45 +554,6 @@ func (fs *FS) Fsstat() (total, free uint64) {
 		return total, 0
 	}
 	return total, total - used
-}
-
-// Service is the live NFS service; it lives in internal/nfsd and is
-// aliased here for the packages that grew up against the memfs-hosted
-// dispatch.
-type Service = nfsd.Service
-
-// ServiceStats counts live-service activity (alias of nfsd.Stats).
-type ServiceStats = nfsd.Stats
-
-// NewService mounts fs behind the nfsd dispatch layer. heuristic and
-// table may be nil for the live defaults: the paper's SlowDown
-// heuristic over a GOMAXPROCS-sharded table (nfsheur.ScaledParams).
-// Pass an explicit table with Shards: 1 to reproduce the paper's
-// single-table behaviour. The write path is write-through (gather
-// window 0); use NewServiceGather to enable the asynchronous write
-// pipeline.
-func NewService(fs *FS, heuristic readahead.Heuristic, table *nfsheur.Table) *Service {
-	return NewServiceGather(fs, heuristic, table, wgather.Config{})
-}
-
-// NewServiceGather is NewService with an explicit write-gathering
-// configuration (gather window, byte bounds, stable-storage sink). The
-// engine's Source is always the wrapped FS — cfg.Source is ignored.
-// Close the service to stop the engine's background flusher and flush
-// remaining dirty data.
-func NewServiceGather(fs *FS, heuristic readahead.Heuristic, table *nfsheur.Table, cfg wgather.Config) *Service {
-	return nfsd.New(fs, nfsd.Config{Heuristic: heuristic, Table: table, Gather: cfg})
-}
-
-// NewServer binds addr and serves svc over real UDP and TCP sockets.
-func NewServer(addr string, svc *Service) (*rpcnet.Server, error) {
-	return nfsd.NewServer(addr, svc)
-}
-
-// NewServerTap is NewServer with a capture tap observing every served
-// RPC (nil tap = NewServer); see nfsd.NewServerTap.
-func NewServerTap(addr string, svc *Service, tap rpcnet.Tap) (*rpcnet.Server, error) {
-	return nfsd.NewServerTap(addr, svc, tap)
 }
 
 // Client is a minimal NFS client over rpcnet for the live service.

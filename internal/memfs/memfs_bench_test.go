@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsheur"
 	"nfstricks/internal/nfsproto"
 	"nfstricks/internal/readahead"
@@ -32,8 +33,8 @@ func BenchmarkLiveReadSaturation(b *testing.B) {
 			}
 			tp := nfsheur.ScaledParams()
 			tp.Shards = shards
-			svc := NewService(fs, readahead.SlowDown{}, nfsheur.New(tp))
-			srv, err := rpcnet.NewServer("127.0.0.1:0", nfsproto.Program, nfsproto.Version3, svc.Handler())
+			svc := nfsd.New(fs, nfsd.Config{Heuristic: readahead.SlowDown{}, Table: nfsheur.New(tp)})
+			srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -85,8 +86,8 @@ func BenchmarkPipelinedReadsOneClient(b *testing.B) {
 	const fileSize = 1 << 20
 	fs := NewFS()
 	fs.Create(RootFH, "f", make([]byte, fileSize))
-	svc := NewService(fs, nil, nil)
-	srv, err := rpcnet.NewServer("127.0.0.1:0", nfsproto.Program, nfsproto.Version3, svc.Handler())
+	svc := nfsd.New(fs, nfsd.Config{})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -118,5 +119,51 @@ func BenchmarkPipelinedReadsOneClient(b *testing.B) {
 			}(g)
 		}
 		wg.Wait()
+	}
+}
+
+// BenchmarkReaddirPagedScan lists a directory of n entries in pages of
+// 64, resuming each page from the previous page's last cookie — a
+// client's READDIR loop against the backend. One iteration is the whole
+// scan; ns/entry should not grow with n. The scan's semantics are
+// pinned by the vfstest conformance suite.
+//
+//	go test -run XXX -bench ReaddirPagedScan ./internal/memfs/
+func BenchmarkReaddirPagedScan(b *testing.B) {
+	const pageEntries = 64
+	for _, n := range []int{200, 2000, 10000} {
+		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
+			fs := NewFS()
+			dir, err := fs.Mkdir(RootFH, "d")
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if _, err := fs.Create(dir, fmt.Sprintf("f%05d", i), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var cookie, verf uint64
+				seen := 0
+				for {
+					page, err := fs.Readdir(dir, cookie, verf, pageEntries)
+					if err != nil {
+						b.Fatal(err)
+					}
+					seen += len(page.Entries)
+					if page.EOF {
+						break
+					}
+					cookie, verf = page.Entries[len(page.Entries)-1].Cookie, page.Cookieverf
+				}
+				if seen != n {
+					b.Fatalf("scan saw %d entries, want %d", seen, n)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
+		})
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/sunrpc"
 )
 
@@ -78,12 +80,12 @@ func TestWriteAppendAmortized(t *testing.T) {
 func TestWriteHugeOffsetRejected(t *testing.T) {
 	fs := NewFS()
 	fs.Create(RootFH, "f", []byte("data"))
-	svc := NewService(fs, nil, nil)
-	h := svc.Handler()
+	svc := nfsd.New(fs, nfsd.Config{})
+	h := svc.InfoHandler()
 	fh, _, _ := fs.Lookup(RootFH, "f")
 	for _, off := range []uint64{^uint64(0), ^uint64(0) - 2, 1 << 40, MaxFileSize + 1} {
 		body := (&nfsproto.WriteArgs{FH: fh, Offset: off, Count: 4, Data: []byte("boom")}).Marshal()
-		out, stat := h(nfsproto.ProcWrite, body, nil)
+		out, stat := h(rpcnet.CallInfo{}, nfsproto.ProcWrite, body, nil)
 		if stat != sunrpc.AcceptSuccess {
 			t.Fatalf("off=%d: accept stat %d", off, stat)
 		}
@@ -154,8 +156,8 @@ func TestLiveReadsConsistentUnderWrites(t *testing.T) {
 	const size = 8192
 	fs := NewFS()
 	fs.Create(RootFH, "f", bytes.Repeat([]byte{0x11}, size))
-	svc := NewService(fs, nil, nil)
-	srv, err := NewServer("127.0.0.1:0", svc)
+	svc := nfsd.New(fs, nfsd.Config{})
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +228,8 @@ func TestReadReplySingleCopy(t *testing.T) {
 	fs := NewFS()
 	payload := bytes.Repeat([]byte{0x5a}, nfsproto.MaxData)
 	fs.Create(RootFH, "f", payload)
-	svc := NewService(fs, nil, nil)
-	h := svc.Handler()
+	svc := nfsd.New(fs, nfsd.Config{})
+	h := svc.InfoHandler()
 	fh, _, err := fs.Lookup(RootFH, "f")
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +240,7 @@ func TestReadReplySingleCopy(t *testing.T) {
 	var out []byte
 	var stat uint32
 	allocs := testing.AllocsPerRun(200, func() {
-		out, stat = h(nfsproto.ProcRead, body, reply)
+		out, stat = h(rpcnet.CallInfo{}, nfsproto.ProcRead, body, reply)
 	})
 	if stat != sunrpc.AcceptSuccess {
 		t.Fatalf("stat = %d", stat)
@@ -263,7 +265,7 @@ func TestReadReplySingleCopy(t *testing.T) {
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < ops; i++ {
-		h(nfsproto.ProcRead, body, reply)
+		h(rpcnet.CallInfo{}, nfsproto.ProcRead, body, reply)
 	}
 	runtime.ReadMemStats(&m1)
 	perOp := float64(m1.TotalAlloc-m0.TotalAlloc) / ops

@@ -2,8 +2,10 @@ package nfsd_test
 
 import (
 	"bytes"
+	"net"
 	"net/netip"
 	"testing"
+	"time"
 
 	"nfstricks/internal/memfs"
 	"nfstricks/internal/nfsd"
@@ -230,5 +232,61 @@ func TestDRCAbortReleasesReservation(t *testing.T) {
 	}
 	if st := svc.DRCStats(); st.Busy != 0 || st.Entries != 0 {
 		t.Fatalf("drc stats %v, want no busy drops and no stuck reservations", st)
+	}
+}
+
+// TestServerAnswersRetransmissionFromDRC: a server built by NewServer
+// from a DRC-enabled service answers a same-XID CREATE retransmission
+// on the wire from the cache — the bytes of the original reply, with
+// the procedure executed once. No server constructor can bypass the
+// cache.
+func TestServerAnswersRetransmissionFromDRC(t *testing.T) {
+	fs := memfs.NewFS()
+	svc := nfsd.New(fs, nfsd.Config{DRC: nfsd.DRCConfig{Enabled: true}})
+	defer svc.Close()
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("udp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+
+	call := sunrpc.MarshalCall(&sunrpc.Call{
+		XID: 0x5eed, Prog: nfsproto.Program, Vers: nfsproto.Version3,
+		Proc: nfsproto.ProcCreate,
+		Cred: sunrpc.AuthNoneCred(), Verf: sunrpc.AuthNoneCred(),
+		Body: (&nfsproto.CreateArgs{Dir: vfs.RootFH, Name: "once"}).Marshal(),
+	})
+	roundTrip := func() []byte {
+		t.Helper()
+		if _, err := conn.Write(call); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, 64<<10)
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf[:n]
+	}
+	first := roundTrip()
+	replay := roundTrip()
+	if !bytes.Equal(first, replay) {
+		t.Fatalf("retransmission got a different reply:\n first %x\nreplay %x", first, replay)
+	}
+	rep, err := sunrpc.UnmarshalReply(first)
+	if err != nil || rep.XID != 0x5eed || rep.Stat != sunrpc.AcceptSuccess || status(t, rep.Body) != nfsproto.OK {
+		t.Fatalf("CREATE reply %+v (err %v), want an accepted OK reply to xid 0x5eed", rep, err)
+	}
+	if st := svc.DRCStats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("drc stats %+v, want 1 miss then 1 hit", st)
+	}
+	if n := svc.ProcCounts()[nfsproto.ProcCreate]; n != 1 {
+		t.Fatalf("CREATE executed %d times, want 1", n)
 	}
 }

@@ -91,7 +91,7 @@ type Stats struct {
 	Commits      int64
 }
 
-// Service adapts a vfs.Backend to an rpcnet.Handler speaking the NFS
+// Service adapts a vfs.Backend to an rpcnet.InfoHandler speaking the NFS
 // v3 subset, running a real nfsheur table + heuristic on the READ path
 // and the write-gathering engine on the WRITE path. Safe for
 // concurrent use by multiple goroutines.
@@ -109,8 +109,7 @@ type Service struct {
 	engine   *wgather.Engine
 	maxAhead int
 	// dupcache, when non-nil, shields non-idempotent procedures from
-	// retransmissions (see InfoHandler; the identity-blind Handler path
-	// cannot consult it).
+	// retransmissions (see InfoHandler).
 	dupcache *drc.Cache
 	// spans is the per-proc stage span table (nil without Config.Obs);
 	// the transport drives span lifecycle (rpcnet.ServerOptions.Spans),
@@ -329,29 +328,17 @@ func (s *Service) countProc(proc uint32) {
 	}
 }
 
-// Handler returns the rpcnet handler for the NFS program. Results are
-// appended straight into the server's pooled reply buffer; on the READ
-// path the payload is a copy-on-write view of the file segment, so the
-// append is the single payload copy between storage and the socket.
-func (s *Service) Handler() rpcnet.Handler {
-	return func(proc uint32, body []byte, reply []byte) ([]byte, uint32) {
-		out, stat := s.dispatch(nil, proc, body, reply)
-		if stat == sunrpc.AcceptSuccess {
-			// Served RPCs only: garbage args and unknown procedures are
-			// rejected above the NFS layer and stay out of ProcCounts.
-			s.countProc(proc)
-		}
-		return out, stat
-	}
-}
-
-// InfoHandler is Handler plus the duplicate request cache: with the
-// call's wire identity in hand, a retransmitted non-idempotent call is
-// answered from the cache (Hit), dropped while its original executes
-// (Busy — the retransmission's next round finds the reply), or executed
-// and its reply retained (Miss). Cache hits do NOT count in ProcCounts,
-// so ProcCounts stays "procedures actually executed" — the number an
-// experiment checks to assert zero duplicated side effects.
+// InfoHandler returns the service's one dispatch entry for the NFS
+// program. Results are appended straight into the server's pooled reply
+// buffer; a READ payload is a copy-on-write view of the file segment, so
+// the append is its single copy between storage and the socket. With the
+// duplicate request cache on (Config.DRC), a retransmitted
+// non-idempotent call is answered from the cache (Hit), dropped while
+// its original executes (Busy — the retransmission's next round finds
+// the reply), or executed and its reply retained (Miss). Cache hits,
+// garbage args and unknown procedures do NOT count in ProcCounts, so it
+// stays "procedures actually executed" — the number an experiment
+// checks to assert zero duplicated side effects.
 func (s *Service) InfoHandler() rpcnet.InfoHandler {
 	return func(info rpcnet.CallInfo, proc uint32, body, reply []byte) ([]byte, uint32) {
 		sp := info.Span
@@ -767,6 +754,21 @@ func readdirBudget(count uint32) int {
 	return int(count)
 }
 
+// readdirHeader is a READDIR(PLUS) reply's fixed part (status, post-op
+// attrs, verifier, terminator, eof); plusWire is what READDIRPLUS adds
+// per entry (post-op attrs and handle).
+const (
+	readdirHeader = 4 + 88 + 8 + 4 + 4
+	plusWire      = 88 + 4 + 12
+)
+
+// readdirCap is how many entries of at least minEntry bytes a reply of
+// budget bytes can hold, at least one: the page the backend is asked
+// for, so a page costs in proportion to itself, not to the directory.
+func readdirCap(budget, minEntry int) int {
+	return max(1, (budget-readdirHeader)/minEntry)
+}
+
 // readdir serves one page of a directory scan: the backend yields
 // entries past the cookie and the reply takes as many as fit the
 // byte budget, at least one (RFC 1813: a reply too small for a single
@@ -776,13 +778,14 @@ func (s *Service) readdir(body, reply []byte) ([]byte, uint32) {
 	if err != nil {
 		return reply, sunrpc.AcceptGarbageArgs
 	}
-	page, rerr := s.b.Readdir(args.Dir, args.Cookie, args.Cookieverf, 0)
+	budget := readdirBudget(args.Count)
+	page, rerr := s.b.Readdir(args.Dir, args.Cookie, args.Cookieverf,
+		readdirCap(budget, direntWire("")))
 	if rerr != nil {
 		res := nfsproto.ReaddirRes{Status: statusOf(rerr)}
 		return res.AppendTo(reply), sunrpc.AcceptSuccess
 	}
-	budget := readdirBudget(args.Count)
-	used := 4 + 88 + 8 + 4 + 4 // status + post-op attrs + verf + terminator + eof
+	used := readdirHeader
 	var entries []nfsproto.DirEntry
 	for _, e := range page.Entries {
 		esz := direntWire(e.Name)
@@ -808,16 +811,17 @@ func (s *Service) readdirplus(body, reply []byte) ([]byte, uint32) {
 	if err != nil {
 		return reply, sunrpc.AcceptGarbageArgs
 	}
-	page, rerr := s.b.Readdir(args.Dir, args.Cookie, args.Cookieverf, 0)
+	budget := readdirBudget(args.MaxCount)
+	page, rerr := s.b.Readdir(args.Dir, args.Cookie, args.Cookieverf,
+		readdirCap(budget, direntWire("")+plusWire))
 	if rerr != nil {
 		res := nfsproto.ReaddirplusRes{Status: statusOf(rerr)}
 		return res.AppendTo(reply), sunrpc.AcceptSuccess
 	}
-	budget := readdirBudget(args.MaxCount)
-	used := 4 + 88 + 8 + 4 + 4
+	used := readdirHeader
 	var entries []nfsproto.DirEntryPlus
 	for _, e := range page.Entries {
-		esz := direntWire(e.Name) + 88 + 4 + 12 // + post-op attrs + post-op FH
+		esz := direntWire(e.Name) + plusWire
 		if used+esz > budget && len(entries) > 0 {
 			break
 		}
@@ -895,28 +899,20 @@ func (s *Service) fsstat(body, reply []byte) ([]byte, uint32) {
 	return res.AppendTo(reply), sunrpc.AcceptSuccess
 }
 
-// NewServer binds addr and serves svc over real UDP and TCP sockets.
-func NewServer(addr string, svc *Service) (*rpcnet.Server, error) {
-	return NewServerOpts(addr, svc, rpcnet.ServerOptions{})
-}
-
-// NewServerTap is NewServer with a capture tap observing every served
-// RPC (nil tap = NewServer). Pair it with nfstrace.Capture to record
-// live request streams to a .nft trace file:
+// NewServer binds addr and serves svc's InfoHandler over real UDP and
+// TCP sockets. opts adds a capture tap or fault injection; its Spans is
+// always svc's span table (nil without Config.Obs), so the DRC and the
+// stage spans follow from how the service was built, never from which
+// server was started. Pair a tap with nfstrace.Capture to record live
+// request streams to a .nft trace file:
 //
 //	w, _ := tracefile.Create("out.nft", time.Now())
 //	cap := nfstrace.NewCapture(w)
-//	srv, _ := nfsd.NewServerTap(addr, svc, cap.Tap)
+//	srv, _ := nfsd.NewServer(addr, svc, rpcnet.ServerOptions{Tap: cap.Tap})
 //
 // The tap adds one pointer check per request when nil and one record
 // append (no payload copy) when capturing.
-func NewServerTap(addr string, svc *Service, tap rpcnet.Tap) (*rpcnet.Server, error) {
-	return NewServerOpts(addr, svc, rpcnet.ServerOptions{Tap: tap})
-}
-
-// NewServerOpts is the full-width constructor: capture tap and fault
-// injection. The service always mounts through its InfoHandler, so a
-// DRC-enabled Config works behind every constructor.
-func NewServerOpts(addr string, svc *Service, opts rpcnet.ServerOptions) (*rpcnet.Server, error) {
+func NewServer(addr string, svc *Service, opts rpcnet.ServerOptions) (*rpcnet.Server, error) {
+	opts.Spans = svc.SpanTable()
 	return rpcnet.NewServerInfo(addr, nfsproto.Program, nfsproto.Version3, svc.InfoHandler(), opts)
 }

@@ -8,6 +8,7 @@ import (
 	"nfstricks/internal/memfs"
 	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/sunrpc"
 	"nfstricks/internal/vfs"
 	"nfstricks/internal/wgather"
@@ -19,7 +20,7 @@ func startLive(t *testing.T) (*memfs.FS, *nfsd.Service, string) {
 	fs := memfs.NewFS()
 	fs.Create(vfs.RootFH, "hello", []byte("hello, world"))
 	svc := nfsd.New(fs, nfsd.Config{})
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +148,7 @@ func TestCreateReplaceDoesNotPoisonGather(t *testing.T) {
 	fs.Create(vfs.RootFH, "other", make([]byte, 8192))
 	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: 50 * time.Millisecond}})
 	defer svc.Close()
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestRemoveRenameDoesNotPoisonGather(t *testing.T) {
 	fs.Create(vfs.RootFH, "other", make([]byte, 8192))
 	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: 50 * time.Millisecond}})
 	defer svc.Close()
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +258,9 @@ func TestDispatchUnknownProcStillUnavail(t *testing.T) {
 	fs := memfs.NewFS()
 	svc := nfsd.New(fs, nfsd.Config{})
 	defer svc.Close()
-	h := svc.Handler()
+	h := svc.InfoHandler()
 	for _, proc := range []uint32{5 /* READLINK */, 10 /* SYMLINK */, 13 /* RMDIR */, 99} {
-		if _, stat := h(proc, nil, nil); stat != sunrpc.AcceptProcUnavail {
+		if _, stat := h(rpcnet.CallInfo{}, proc, nil, nil); stat != sunrpc.AcceptProcUnavail {
 			t.Fatalf("proc %d: stat %d, want PROC_UNAVAIL", proc, stat)
 		}
 	}

@@ -18,11 +18,11 @@ import (
 // records: it decodes the NFS-level fields (file handle, offset, count)
 // from each request body, reads the NFS status off the reply, and
 // appends one record per served RPC to a tracefile.Writer. Install it
-// with rpcnet.NewServerTap (or memfs.NewServerTap):
+// as the server's capture tap (rpcnet.ServerOptions.Tap):
 //
 //	w, _ := tracefile.Create("out.nft", time.Now())
 //	cap := nfstrace.NewCapture(w)
-//	srv, _ := memfs.NewServerTap(addr, svc, cap.Tap)
+//	srv, _ := nfsd.NewServer(addr, svc, rpcnet.ServerOptions{Tap: cap.Tap})
 //	...
 //	cap.Close() // flush; then close w's file via w or cap
 //

@@ -8,8 +8,10 @@ import (
 	"time"
 
 	"nfstricks/internal/memfs"
+	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
 	"nfstricks/internal/nfstrace"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/tracefile"
 	"nfstricks/internal/wgather"
 )
@@ -30,7 +32,7 @@ func newTarget(t *testing.T) (*replayTarget, func() []tracefile.Record) {
 	}
 	fhA, _ := fs.Create(memfs.RootFH, "a", payload)
 	fhB, _ := fs.Create(memfs.RootFH, "b", payload)
-	svc := memfs.NewService(fs, nil, nil)
+	svc := nfsd.New(fs, nfsd.Config{})
 
 	var buf bytes.Buffer
 	start := time.Now()
@@ -39,7 +41,7 @@ func newTarget(t *testing.T) (*replayTarget, func() []tracefile.Record) {
 		t.Fatal(err)
 	}
 	capt := nfstrace.NewCaptureAt(w, start)
-	srv, err := memfs.NewServerTap("127.0.0.1:0", svc, capt.Tap)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{Tap: capt.Tap})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,9 +336,9 @@ func TestOptionsValidation(t *testing.T) {
 func TestReplayWriteStabilityAndCommit(t *testing.T) {
 	fs := memfs.NewFS()
 	fh, _ := fs.Create(memfs.RootFH, "w", make([]byte, 256*1024))
-	svc := memfs.NewServiceGather(fs, nil, nil, wgather.Config{Window: time.Minute})
+	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: time.Minute}})
 	defer svc.Close()
-	srv, err := memfs.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,9 +381,9 @@ func TestReplayWriteStabilityAndCommit(t *testing.T) {
 func TestReplayV1TraceStillWorks(t *testing.T) {
 	fs := memfs.NewFS()
 	fh, _ := fs.Create(memfs.RootFH, "w", make([]byte, 64*1024))
-	svc := memfs.NewServiceGather(fs, nil, nil, wgather.Config{Window: time.Minute})
+	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: time.Minute}})
 	defer svc.Close()
-	srv, err := memfs.NewServer("127.0.0.1:0", svc)
+	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

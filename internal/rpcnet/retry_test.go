@@ -117,10 +117,10 @@ func TestRetrierConcurrentCallsUnderLoss(t *testing.T) {
 // its cause.
 func TestRetrierMajorTimeout(t *testing.T) {
 	block := make(chan struct{})
-	s, err := NewServer("127.0.0.1:0", 1, 1, func(_ uint32, _ []byte, reply []byte) ([]byte, uint32) {
+	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, _ uint32, _ []byte, reply []byte) ([]byte, uint32) {
 		<-block
 		return reply, sunrpc.AcceptSuccess
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestRetrierSurvivesServerRestart(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(200 * time.Millisecond)
-	s2, err := NewServer(addr, 100003, 3, echoHandler)
+	s2, err := NewServerInfo(addr, 100003, 3, echoHandler, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 
 // echoHandler returns the body with a marker prefix, appended into the
 // server's reply buffer.
-func echoHandler(proc uint32, body []byte, reply []byte) ([]byte, uint32) {
+func echoHandler(_ CallInfo, proc uint32, body []byte, reply []byte) ([]byte, uint32) {
 	if proc == 99 {
 		return reply, sunrpc.AcceptProcUnavail
 	}
@@ -23,7 +23,7 @@ func echoHandler(proc uint32, body []byte, reply []byte) ([]byte, uint32) {
 
 func startServer(t *testing.T) *Server {
 	t.Helper()
-	s, err := NewServer("127.0.0.1:0", 100003, 3, echoHandler)
+	s, err := NewServerInfo("127.0.0.1:0", 100003, 3, echoHandler, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +177,12 @@ func TestPipelinedCallsOneClient(t *testing.T) {
 // a fast one issued after it on the same connection.
 func TestPipeliningOverlapsSlowCalls(t *testing.T) {
 	release := make(chan struct{})
-	s, err := NewServer("127.0.0.1:0", 1, 1, func(proc uint32, body []byte, reply []byte) ([]byte, uint32) {
+	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, proc uint32, body []byte, reply []byte) ([]byte, uint32) {
 		if proc == 7 {
 			<-release
 		}
 		return append(reply, body...), sunrpc.AcceptSuccess
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,12 +217,12 @@ func TestPipeliningOverlapsSlowCalls(t *testing.T) {
 // must return promptly and stay usable for later calls.
 func TestCallContextCancel(t *testing.T) {
 	block := make(chan struct{})
-	s, err := NewServer("127.0.0.1:0", 1, 1, func(proc uint32, body []byte, reply []byte) ([]byte, uint32) {
+	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, proc uint32, body []byte, reply []byte) ([]byte, uint32) {
 		if proc == 7 {
 			<-block
 		}
 		return append(reply, body...), sunrpc.AcceptSuccess
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestUDPClientSurvivesServerRestart(t *testing.T) {
 		t.Fatal("call to stopped server succeeded")
 	}
 	// Restart on the same address; the old client must recover.
-	s2, err := NewServer(addr, 100003, 3, echoHandler)
+	s2, err := NewServerInfo(addr, 100003, 3, echoHandler, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +306,10 @@ func TestDialBadNetwork(t *testing.T) {
 func TestCallTimeout(t *testing.T) {
 	// A server that never answers: handler blocks.
 	block := make(chan struct{})
-	s, err := NewServer("127.0.0.1:0", 1, 1, func(_ uint32, _ []byte, reply []byte) ([]byte, uint32) {
+	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, _ uint32, _ []byte, reply []byte) ([]byte, uint32) {
 		<-block
 		return reply, sunrpc.AcceptSuccess
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func (ts *tapSink) events() []TapEvent {
 func TestServerTap(t *testing.T) {
 	for _, network := range []string{"udp", "tcp"} {
 		var sink tapSink
-		s, err := NewServerTap("127.0.0.1:0", 100003, 3, echoHandler, sink.tap)
+		s, err := NewServerInfo("127.0.0.1:0", 100003, 3, echoHandler, ServerOptions{Tap: sink.tap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,11 +457,11 @@ func TestCloseDrainsInFlightRequests(t *testing.T) {
 	for _, network := range []string{"udp", "tcp"} {
 		var sink tapSink
 		entered := make(chan struct{}, 1)
-		s, err := NewServerTap("127.0.0.1:0", 1, 1, func(_ uint32, _ []byte, reply []byte) ([]byte, uint32) {
+		s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, _ uint32, _ []byte, reply []byte) ([]byte, uint32) {
 			entered <- struct{}{}
 			time.Sleep(100 * time.Millisecond)
 			return reply, sunrpc.AcceptSuccess
-		}, sink.tap)
+		}, ServerOptions{Tap: sink.tap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -512,10 +512,10 @@ func TestGoPipelinesInOrder(t *testing.T) {
 // hang.
 func TestGoWaitTimeoutAndClosed(t *testing.T) {
 	block := make(chan struct{})
-	s, err := NewServer("127.0.0.1:0", 1, 1, func(_ uint32, _ []byte, reply []byte) ([]byte, uint32) {
+	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, _ uint32, _ []byte, reply []byte) ([]byte, uint32) {
 		<-block
 		return reply, sunrpc.AcceptSuccess
-	})
+	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

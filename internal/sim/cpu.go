@@ -13,7 +13,10 @@ import (
 type CPU struct {
 	k          *Kernel
 	background int
-	jobs       map[*cpuJob]struct{}
+	// jobs holds the runnable jobs in submission order, so jobs that
+	// finish at the same instant fire in that order and one seed gives
+	// one result.
+	jobs       []*cpuJob
 	lastUpdate int64 // virtual ns of the last remaining-work update
 	gen        int64 // invalidates stale completion events
 }
@@ -25,7 +28,7 @@ type cpuJob struct {
 
 // NewCPU returns an idle CPU bound to k.
 func NewCPU(k *Kernel) *CPU {
-	return &CPU{k: k, jobs: make(map[*cpuJob]struct{})}
+	return &CPU{k: k}
 }
 
 // SetBackground sets the number of permanently-runnable background jobs
@@ -67,7 +70,7 @@ func (c *CPU) Submit(d time.Duration) *Event {
 	}
 	c.advance()
 	j := &cpuJob{remaining: float64(d), done: ev}
-	c.jobs[j] = struct{}{}
+	c.jobs = append(c.jobs, j)
 	c.reschedule()
 	return ev
 }
@@ -83,7 +86,7 @@ func (c *CPU) advance() {
 	}
 	rate := 1.0 / float64(len(c.jobs)+c.background)
 	served := float64(elapsed) * rate
-	for j := range c.jobs {
+	for _, j := range c.jobs {
 		j.remaining -= served
 	}
 }
@@ -93,20 +96,22 @@ func (c *CPU) advance() {
 func (c *CPU) reschedule() {
 	const eps = 0.5 // half a nanosecond of service
 
-	for j := range c.jobs {
+	// Filtering in place is safe: Fire only schedules the waiters'
+	// wakeups, so nothing re-enters the CPU during the loop.
+	running := c.jobs[:0]
+	minRemaining := math.Inf(1)
+	for _, j := range c.jobs {
 		if j.remaining <= eps {
-			delete(c.jobs, j)
 			j.done.Fire()
+			continue
 		}
+		running = append(running, j)
+		minRemaining = min(minRemaining, j.remaining)
 	}
+	clear(c.jobs[len(running):])
+	c.jobs = running
 	if len(c.jobs) == 0 {
 		return
-	}
-	minRemaining := math.Inf(1)
-	for j := range c.jobs {
-		if j.remaining < minRemaining {
-			minRemaining = j.remaining
-		}
 	}
 	wall := minRemaining * float64(len(c.jobs)+c.background)
 	if wall < 1 {

@@ -435,3 +435,32 @@ func TestCPUZeroDuration(t *testing.T) {
 		t.Fatal("zero-duration Use blocked forever")
 	}
 }
+
+// TestCPUEqualJobsFireInSubmissionOrder: jobs that finish at the same
+// instant complete in the order they were submitted, on every run — the
+// simulator's determinism must not hang on map iteration order.
+func TestCPUEqualJobsFireInSubmissionOrder(t *testing.T) {
+	const jobs = 8
+	for rep := 0; rep < 20; rep++ {
+		k := NewKernel(1)
+		cpu := NewCPU(k)
+		var order []int
+		for i := 0; i < jobs; i++ {
+			i := i
+			k.Go("job", func(p *Proc) {
+				cpu.Use(p, time.Millisecond)
+				order = append(order, i)
+			})
+		}
+		k.Run()
+		k.Shutdown()
+		for i, got := range order {
+			if got != i {
+				t.Fatalf("rep %d: completion order %v, want submission order", rep, order)
+			}
+		}
+		if len(order) != jobs {
+			t.Fatalf("rep %d: %d of %d jobs completed", rep, len(order), jobs)
+		}
+	}
+}

@@ -21,6 +21,7 @@ import (
 
 	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/rpcnet"
 	"nfstricks/internal/sunrpc"
 	"nfstricks/internal/vfs"
 	"nfstricks/internal/wgather"
@@ -287,7 +288,10 @@ func readdirAll(t *testing.T, b vfs.Backend, dir nfsproto.FH, pageSize int) []vf
 
 // testReaddirPaging scans a 1000-entry directory in small pages and
 // checks the scan is exact: every entry once, ascending cookies, EOF
-// on the last page only.
+// on the last page only. It scans again after removing two entries in
+// three and renaming some survivors away and some back, which re-links
+// a name under a newer cookie: the paged scan must then return exactly
+// the survivors.
 func testReaddirPaging(t *testing.T, b vfs.Backend) {
 	const n = 1000
 	dir := mkdir(t, b, vfs.RootFH, "big")
@@ -296,10 +300,49 @@ func testReaddirPaging(t *testing.T, b vfs.Backend) {
 		name := fmt.Sprintf("f%04d", i)
 		want[name] = create(t, b, dir, name, nil)
 	}
-	all := readdirAll(t, b, dir, 37) // deliberately odd page size
-	if len(all) != n {
-		t.Fatalf("paged scan returned %d entries, want %d", len(all), n)
+	checkScan(t, readdirAll(t, b, dir, 37), want) // deliberately odd page size
+	// An unlimited scan agrees.
+	if whole := readdirAll(t, b, dir, 0); len(whole) != n {
+		t.Fatalf("unlimited scan returned %d entries", len(whole))
 	}
+
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("f%04d", i)
+		switch {
+		case i%3 != 0:
+			if _, err := b.Remove(dir, name); err != nil {
+				t.Fatalf("Remove %s: %v", name, err)
+			}
+			delete(want, name)
+		case i%5 == 0:
+			if _, err := b.Rename(dir, name, dir, "r"+name); err != nil {
+				t.Fatalf("Rename %s: %v", name, err)
+			}
+			want["r"+name] = want[name]
+			delete(want, name)
+		}
+	}
+	// Rename some back: each name is linked again under a newer cookie
+	// than its first slot.
+	for i := 0; i < n; i += 45 {
+		name := fmt.Sprintf("f%04d", i)
+		if _, err := b.Rename(dir, "r"+name, dir, name); err != nil {
+			t.Fatalf("Rename r%s: %v", name, err)
+		}
+		want[name] = want["r"+name]
+		delete(want, "r"+name)
+	}
+	checkScan(t, readdirAll(t, b, dir, 37), want)
+}
+
+// checkScan requires a scan to return exactly want, once each, in
+// ascending cookie order.
+func checkScan(t *testing.T, all []vfs.DirEntry, want map[string]nfsproto.FH) {
+	t.Helper()
+	if len(all) != len(want) {
+		t.Fatalf("paged scan returned %d entries, want %d", len(all), len(want))
+	}
+	seen := make(map[string]bool, len(all))
 	var last uint64
 	for i, e := range all {
 		if e.Cookie <= last {
@@ -307,20 +350,13 @@ func testReaddirPaging(t *testing.T, b vfs.Backend) {
 		}
 		last = e.Cookie
 		fh, ok := want[e.Name]
-		if !ok {
+		if !ok || seen[e.Name] {
 			t.Fatalf("unexpected or duplicated entry %q", e.Name)
 		}
 		if e.FH != fh {
 			t.Fatalf("entry %q handle %d, want %d", e.Name, e.FH, fh)
 		}
-		delete(want, e.Name)
-	}
-	if len(want) != 0 {
-		t.Fatalf("%d entries missing from the scan", len(want))
-	}
-	// An unlimited scan agrees.
-	if whole := readdirAll(t, b, dir, 0); len(whole) != n {
-		t.Fatalf("unlimited scan returned %d entries", len(whole))
+		seen[e.Name] = true
 	}
 }
 
@@ -544,8 +580,8 @@ func testSetattr(t *testing.T, b vfs.Backend) {
 // call drives one RPC through a service handler without sockets.
 func call(t *testing.T, svc *nfsd.Service, proc uint32, args []byte) []byte {
 	t.Helper()
-	h := svc.Handler()
-	out, stat := h(proc, args, nil)
+	h := svc.InfoHandler()
+	out, stat := h(rpcnet.CallInfo{}, proc, args, nil)
 	if stat != sunrpc.AcceptSuccess {
 		t.Fatalf("proc %s: accept stat %d", nfsproto.ProcName(proc), stat)
 	}

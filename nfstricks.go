@@ -15,25 +15,24 @@
 //   - Experiments: [Experiments] and [LookupExperiment] run the
 //     reproductions of every figure and table, returning formatted
 //     [BenchResult] values ("nfsbench -exp fig1" from the CLI).
-//   - Live mode: [NewLiveFS], [NewLiveService], [ServeLive] and
-//     [DialLive] run the same protocol stack over real loopback
-//     sockets.
-//   - Write path: [NewLiveServiceGather] serves UNSTABLE WRITE +
-//     COMMIT through a server-side write-gathering engine
-//     ([WriteGatherConfig]); [LiveWriteBehind] is the matching
-//     biod-style client pipeline with verifier-change recovery.
-//   - Trace capture & replay: [ServeLiveTraced] records the live
-//     server's request stream to a .nft trace file;
-//     [AnalyzeTraceFile] runs the paper's §6 analysis on it and
-//     [ReplayTraceFile] plays it back as a benchmark workload.
-//   - Fault path: [ServeLiveFaulty] injects seeded wire faults on the
-//     live transports, [DialLiveRetry] adds the client retransmission
-//     layer, and [DRCConfig] switches on the server's duplicate
-//     request cache ("nfsbench -exp fault-path").
-//   - Observability: [NewObsRegistry] plus [ServeLiveObserved] time
-//     every request through per-stage spans, and [ServeObsAdmin]
-//     exposes the registry live on /metrics, /statsz and
-//     /debug/pprof ("nfsserve -admin :7070").
+//   - Live mode: [NewLiveService], [ServeLive] and [DialLive] run the
+//     same protocol stack over real loopback sockets.
+//   - Write path: [LiveConfig].Gather ([WriteGatherConfig]) serves
+//     UNSTABLE WRITE + COMMIT through a server-side write-gathering
+//     engine; [LiveWriteBehind] is the matching biod-style client
+//     pipeline with verifier-change recovery.
+//   - Trace capture & replay: [LiveServerOptions].Tap with a
+//     [TraceCapture] records the live server's request stream to a .nft
+//     trace file; [AnalyzeTraceFile] runs the paper's §6 analysis on it
+//     and [ReplayTraceFile] plays it back as a benchmark workload.
+//   - Fault path: [LiveServerOptions].Faults injects seeded wire faults
+//     on the live transports, [DialLiveRetry] adds the client
+//     retransmission layer, and [DRCConfig] switches on the server's
+//     duplicate request cache ("nfsbench -exp fault-path").
+//   - Observability: [NewObsRegistry] as [LiveConfig].Obs times every
+//     request through per-stage spans, and [ServeObsAdmin] exposes the
+//     registry live on /metrics, /statsz and /debug/pprof
+//     ("nfsserve -admin :7070").
 //
 // Quickstart (see examples/quickstart for the runnable version):
 //
@@ -242,8 +241,12 @@ type (
 	StorageBackend = vfs.Backend
 	// LiveConfig assembles a live service around any backend:
 	// heuristic, nfsheur table, write-gather configuration, read-ahead
-	// cap.
+	// cap, DRC and metrics registry. The zero value is SlowDown over a
+	// GOMAXPROCS-sharded ScaledNfsheur table, write-through, no DRC.
 	LiveConfig = nfsd.Config
+	// LiveServerOptions adds a capture tap or wire faults to a live
+	// server (its Spans field is set by ServeLive).
+	LiveServerOptions = rpcnet.ServerOptions
 	// LiveFS is an in-memory file store for the live service.
 	LiveFS = memfs.FS
 	// ZoneFS is a disk-backed store: files placed by LBA on a
@@ -276,10 +279,11 @@ const (
 // the paper's IDE drive, outer placement, 64 MB cache).
 func NewZoneFS(cfg ZoneConfig) *ZoneFS { return zonefs.New(cfg) }
 
-// NewLiveServiceBackend mounts any storage backend behind the live
-// dispatch layer. NewLiveService and NewLiveServiceGather are the
-// memfs-specific shorthands.
-func NewLiveServiceBackend(b StorageBackend, cfg LiveConfig) *LiveService {
+// NewLiveService mounts a LiveFS or ZoneFS behind the live dispatch
+// layer; LiveConfig{Table: NewNfsheurTable(ImprovedNfsheur())} gives
+// the paper's single table. Close it to stop the write-gather flusher
+// and flush remaining dirty data.
+func NewLiveService(b StorageBackend, cfg LiveConfig) *LiveService {
 	return nfsd.New(b, cfg)
 }
 
@@ -292,19 +296,11 @@ const LiveRootFH = memfs.RootFH
 // NewLiveFS returns an empty in-memory store.
 func NewLiveFS() *LiveFS { return memfs.NewFS() }
 
-// NewLiveService wraps fs with a heuristic and nfsheur table. Nil
-// defaults are the live-serving configuration: SlowDown over a
-// GOMAXPROCS-sharded ScaledNfsheur table. Pass an explicit
-// NewNfsheurTable(ImprovedNfsheur()) to reproduce the paper's
-// deterministic single table instead.
-func NewLiveService(fs *LiveFS, h Heuristic, t *NfsheurTable) *LiveService {
-	return memfs.NewService(fs, h, t)
-}
-
 // ServeLive binds addr (e.g. "127.0.0.1:0") and serves svc over real
-// UDP and TCP sockets.
-func ServeLive(addr string, svc *LiveService) (*RPCServer, error) {
-	return memfs.NewServer(addr, svc)
+// UDP and TCP sockets, with the DRC and stage spans its LiveConfig
+// chose; opts adds a trace capture tap or wire faults.
+func ServeLive(addr string, svc *LiveService, opts LiveServerOptions) (*RPCServer, error) {
+	return nfsd.NewServer(addr, svc, opts)
 }
 
 // DialLive connects to a live service over "udp" or "tcp".
@@ -340,13 +336,6 @@ type (
 	// automatic rewrite after a server reboot.
 	LiveWriteBehind = memfs.WriteBehind
 )
-
-// NewLiveServiceGather is NewLiveService with an explicit write-gather
-// configuration. Close the service to stop the engine's background
-// flusher and flush remaining dirty data.
-func NewLiveServiceGather(fs *LiveFS, h Heuristic, t *NfsheurTable, cfg WriteGatherConfig) *LiveService {
-	return memfs.NewServiceGather(fs, h, t, cfg)
-}
 
 // NewMemStableSink returns an empty retaining sink.
 func NewMemStableSink() *MemStableSink { return wgather.NewMemSink() }
@@ -396,13 +385,6 @@ func ServeObsAdminMeta(addr string, reg *ObsRegistry, meta any) (*ObsAdminServer
 	return obs.ServeAdminMeta(addr, reg, meta)
 }
 
-// ServeLiveObserved is ServeLive with per-request stage spans: each
-// served call is timed through the span table the service registered
-// in its LiveConfig.Obs registry (no-op when Obs was nil).
-func ServeLiveObserved(addr string, svc *LiveService) (*RPCServer, error) {
-	return nfsd.NewServerOpts(addr, svc, rpcnet.ServerOptions{Spans: svc.SpanTable()})
-}
-
 // Trace capture & replay: record the live server's real request stream
 // to a compact on-disk trace (.nft) and replay it as a first-class
 // benchmark workload ("nfsbench -exp trace-replay"; cmd/nfstrace is the
@@ -429,13 +411,9 @@ func CreateTrace(path string) (*TraceFileWriter, error) {
 	return tracefile.Create(path, time.Now())
 }
 
-// ServeLiveTraced is ServeLive with every served RPC recorded through
-// capture (see NewTraceCapture).
-func ServeLiveTraced(addr string, svc *LiveService, capture *TraceCapture) (*RPCServer, error) {
-	return memfs.NewServerTap(addr, svc, capture.Tap)
-}
-
-// NewTraceCapture wraps a trace writer for use with ServeLiveTraced.
+// NewTraceCapture wraps a trace writer; serve with
+// ServeLive(addr, svc, LiveServerOptions{Tap: capture.Tap}) to record
+// every served RPC.
 func NewTraceCapture(w *TraceFileWriter) *TraceCapture {
 	return nfstrace.NewCapture(w)
 }
@@ -476,7 +454,8 @@ type (
 	// seed making the decision stream reproducible.
 	FaultConfig = rpcnet.FaultConfig
 	// FaultInjector draws seeded per-message fault decisions; plug one
-	// into ServeLiveFaulty (server side) or DialLiveRetry (client side).
+	// into LiveServerOptions.Faults (server side) or DialLiveRetry
+	// (client side).
 	FaultInjector = rpcnet.FaultInjector
 	// FaultStats counts messages examined and faults injected in one
 	// direction (FaultDirIn/FaultDirOut).
@@ -521,12 +500,6 @@ func NewFaultInjector(cfg FaultConfig) *FaultInjector {
 // "drop=0.05,dup=0.01,delay=0.02:1ms-5ms,stall=0.05:20ms".
 func ParseFaultSpec(spec string) (FaultConfig, error) {
 	return rpcnet.ParseFaultSpec(spec)
-}
-
-// ServeLiveFaulty is ServeLive with wire faults injected on the
-// server's sockets (nil = perfect network).
-func ServeLiveFaulty(addr string, svc *LiveService, faults *FaultInjector) (*RPCServer, error) {
-	return nfsd.NewServerOpts(addr, svc, rpcnet.ServerOptions{Faults: faults})
 }
 
 // DialLiveRetry is DialLive with the unified retransmission layer on

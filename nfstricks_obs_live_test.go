@@ -53,9 +53,11 @@ func TestLiveAdminUnderTraffic(t *testing.T) {
 	for i := 0; i < clients; i++ {
 		fs.Create(LiveRootFH, fmt.Sprintf("f%d", i), payload)
 	}
-	svc := NewLiveServiceBackend(fs, LiveConfig{Obs: reg})
+	svc := NewLiveService(fs, LiveConfig{Obs: reg})
 	defer svc.Close()
-	srv, err := ServeLiveObserved("127.0.0.1:0", svc)
+	// Plain options: the spans below must come from the service's Obs
+	// registry alone, with nothing passed to the server.
+	srv, err := ServeLive("127.0.0.1:0", svc, LiveServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

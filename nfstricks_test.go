@@ -67,8 +67,8 @@ func TestFacadeExperiments(t *testing.T) {
 func TestFacadeLiveMode(t *testing.T) {
 	fs := NewLiveFS()
 	fs.Create(LiveRootFH, "f", []byte("hello live mode"))
-	svc := NewLiveService(fs, SlowDown{}, nil)
-	srv, err := ServeLive("127.0.0.1:0", svc)
+	svc := NewLiveService(fs, LiveConfig{Heuristic: SlowDown{}})
+	srv, err := ServeLive("127.0.0.1:0", svc, LiveServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
