@@ -28,7 +28,7 @@ func runCluster(n int, ctrlAddr, adminAddr string, files filespec.List, statsEve
 	}
 	defer c.Close()
 
-	cl, err := cluster.DialClient("tcp", c.CtrlAddr(), cluster.ClientConfig{})
+	cl, err := cluster.DialClient("tcp", c.CtrlAddr())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nfsserve: cluster:", err)
 		os.Exit(1)

@@ -57,11 +57,11 @@ func newClusterEnv(shards, tenants, perStream int) (*clusterEnv, error) {
 		return nil, err
 	}
 	env := &clusterEnv{c: c}
-	if env.tcp, err = cluster.DialClient("tcp", c.CtrlAddr(), cluster.ClientConfig{}); err != nil {
+	if env.tcp, err = cluster.DialClient("tcp", c.CtrlAddr()); err != nil {
 		c.Close()
 		return nil, err
 	}
-	if env.udp, err = cluster.DialClient("udp", c.CtrlAddr(), cluster.ClientConfig{}); err != nil {
+	if env.udp, err = cluster.DialClient("udp", c.CtrlAddr()); err != nil {
 		env.Close()
 		return nil, err
 	}

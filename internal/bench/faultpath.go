@@ -54,6 +54,9 @@ type faultCellResult struct {
 	// call (ProcCounts measures executed procedures; cache hits and
 	// busy-drops don't execute).
 	dupExec int
+	// leftover counts entries the triplets left in their directory —
+	// duplicated side effects (see leftoverEntries).
+	leftover int
 
 	faultsIn, faultsOut rpcnet.FaultStats
 	retry               rpcnet.RetryStats
@@ -139,15 +142,12 @@ func faultCell(network string, lossPct int, drcOn bool, triplets, run int, p Par
 	}
 	elapsed := time.Since(start).Seconds()
 
-	// Integrity: every triplet removed what it created, so the
-	// directory must be empty regardless of loss — leftover entries
-	// mean a lost side effect, phantom entries a duplicated one.
 	left, err := c.ReaddirAll(dir, 8192)
 	if err != nil {
 		return r, fmt.Errorf("final readdir: %w", err)
 	}
-	if len(left) != 0 {
-		return r, fmt.Errorf("directory not empty after %d triplets: %d entries left", triplets, len(left))
+	if r.leftover, err = leftoverEntries(drcOn, len(left), triplets); err != nil {
+		return r, err
 	}
 	// Executed-procedure counts: ProcCounts only increments when a call
 	// actually dispatches (DRC hits and busy-drops do not), so any
@@ -174,6 +174,18 @@ func faultCell(network string, lossPct int, drcOn bool, triplets, run int, p Par
 	drcStats := svc.DRCStats()
 	r.drcHits, r.drcBusy = drcStats.Hits, drcStats.Busy
 	return r, nil
+}
+
+// leftoverEntries judges the entries a cell's triplets left in their
+// directory. Every triplet removes what it created, so the directory
+// should be empty. With the DRC off a leftover is a duplicated side
+// effect — a retransmitted CREATE that re-ran after its RENAME — and is
+// counted; with the DRC on it fails the cell.
+func leftoverEntries(drcOn bool, left, triplets int) (int, error) {
+	if left != 0 && drcOn {
+		return 0, fmt.Errorf("directory not empty after %d triplets: %d entries left", triplets, left)
+	}
+	return left, nil
 }
 
 // faultTriplets scales the per-cell workload.
@@ -235,6 +247,7 @@ func FaultPath(p Params) (*Result, error) {
 	}
 	var totals struct {
 		spuriousOff, dupOff int
+		leftoverOff         int
 		drcHits, drcBusy    int64
 		retrans             int64
 		drops, stalls       int64
@@ -258,6 +271,7 @@ func FaultPath(p Params) (*Result, error) {
 				if !c.drcOn {
 					totals.spuriousOff += m.spurious
 					totals.dupOff += m.dupExec
+					totals.leftoverOff += m.leftover
 				}
 				totals.drcHits += m.drcHits
 				totals.drcBusy += m.drcBusy
@@ -288,8 +302,9 @@ func FaultPath(p Params) (*Result, error) {
 		fmt.Sprintf("each cell: fresh live server, %d create/rename/remove triplets; loss%% = per-direction message fault probability", triplets),
 		fmt.Sprintf("udp loss = dropped datagrams; tcp loss = %v mid-record stalls (the kernel retransmits, so RPC-level loss shows up as delay)", faultTCPStall),
 		fmt.Sprintf("injected faults: %d drops, %d stalls; client retransmissions: %d", totals.drops, totals.stalls, totals.retrans),
-		fmt.Sprintf("drc: %d hits, %d busy-drops; drc=on cells asserted zero spurious errors and zero duplicated executions", totals.drcHits, totals.drcBusy),
-		fmt.Sprintf("drc=off cells observed %d spurious NOENT/EXIST and %d duplicated executions — the wrong answers the DRC exists to prevent", totals.spuriousOff, totals.dupOff),
+		fmt.Sprintf("drc: %d hits, %d busy-drops; drc=on cells asserted zero spurious errors, zero duplicated executions and an empty directory", totals.drcHits, totals.drcBusy),
+		fmt.Sprintf("drc=off cells observed %d spurious NOENT/EXIST, %d duplicated executions and %d leftover directory entries (duplicated side effects) — the wrong answers the DRC exists to prevent",
+			totals.spuriousOff, totals.dupOff, totals.leftoverOff),
 		fmt.Sprintf("client retry policy: %d transmits max, RTO in [20ms, 1s], Jacobson-estimated, 20%% jitter", 8),
 		fmt.Sprintf("retry counters read via obs registry (rpcnet_retry_*); max end-of-cell smoothed RTO %.1fms", totals.maxRTOms))
 	return r, nil

@@ -81,3 +81,18 @@ func TestFaultPathLossyUDPWithoutDRC(t *testing.T) {
 	}
 	t.Logf("spurious=%d dupExec=%d retransmits=%d", m.spurious, m.dupExec, m.retry.Retransmits)
 }
+
+// TestFaultPathLeftoverEntries pins the cell's directory check: a
+// leftover entry is a counted duplicated side effect with the DRC off,
+// and fails the cell with the DRC on.
+func TestFaultPathLeftoverEntries(t *testing.T) {
+	if _, err := leftoverEntries(true, 1, 12); err == nil {
+		t.Error("drc=on cell with a leftover entry passed")
+	}
+	if n, err := leftoverEntries(true, 0, 12); err != nil || n != 0 {
+		t.Errorf("drc=on, empty directory: %d, %v; want 0, nil", n, err)
+	}
+	if n, err := leftoverEntries(false, 2, 12); err != nil || n != 2 {
+		t.Errorf("drc=off, 2 entries left: %d, %v; want 2, nil", n, err)
+	}
+}

@@ -14,33 +14,19 @@ import (
 	"nfstricks/internal/xdr"
 )
 
-// ClientConfig tunes a shard-aware client.
-type ClientConfig struct {
-	// PoolSize is the connection count per shard (default 4). Streams
-	// share these round-robin — amplified replay must not dial per
-	// tenant or it exhausts ephemeral ports.
-	PoolSize int
-	// Timeout bounds each call and map fetch (default 10s).
-	Timeout time.Duration
-	// MaxRedirects bounds wrong-shard retries per call (default 8) —
-	// a map changing faster than a client can chase it should fail
-	// loudly, not loop.
-	MaxRedirects int
-}
+const (
+	// poolSize is the connection count per shard. Streams share these
+	// round-robin — amplified replay must not dial per tenant or it
+	// exhausts ephemeral ports.
+	poolSize = 4
+	// callTimeout bounds each call and map fetch.
+	callTimeout = 10 * time.Second
+	// maxRedirects bounds wrong-shard retries per call — a map changing
+	// faster than a client can chase it should fail loudly, not loop.
+	maxRedirects = 8
+)
 
-func (c *ClientConfig) fill() {
-	if c.PoolSize <= 0 {
-		c.PoolSize = 4
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Second
-	}
-	if c.MaxRedirects <= 0 {
-		c.MaxRedirects = 8
-	}
-}
-
-// ErrRedirectLoop marks a call still redirected after MaxRedirects
+// ErrRedirectLoop marks a call still redirected after maxRedirects
 // map refreshes.
 var ErrRedirectLoop = errors.New("cluster: redirected past retry budget")
 
@@ -66,7 +52,6 @@ type shardPool struct {
 // callers never see the redirect, only the final reply.
 type Client struct {
 	network string
-	cfg     ClientConfig
 	ctrl    *rpcnet.Client
 	cur     atomic.Pointer[Map]
 
@@ -83,13 +68,12 @@ type Client struct {
 }
 
 // DialClient connects to a cluster via its control plane.
-func DialClient(network, ctrlAddr string, cfg ClientConfig) (*Client, error) {
-	cfg.fill()
+func DialClient(network, ctrlAddr string) (*Client, error) {
 	ctrl, err := rpcnet.Dial(network, ctrlAddr, CtrlProgram, CtrlVersion)
 	if err != nil {
 		return nil, err
 	}
-	ctrl.SetTimeout(cfg.Timeout)
+	ctrl.SetTimeout(callTimeout)
 	m, err := fetchMap(ctrl, 0)
 	if err != nil {
 		ctrl.Close()
@@ -97,7 +81,6 @@ func DialClient(network, ctrlAddr string, cfg ClientConfig) (*Client, error) {
 	}
 	c := &Client{
 		network: network,
-		cfg:     cfg,
 		ctrl:    ctrl,
 		pools:   make(map[uint32]*shardPool),
 	}
@@ -133,14 +116,14 @@ func (c *Client) conn(fh nfsproto.FH) (*rpcnet.Client, error) {
 		p = &shardPool{}
 		c.pools[owner.ID] = p
 	}
-	if len(p.conns) < c.cfg.PoolSize {
+	if len(p.conns) < poolSize {
 		cl, err := rpcnet.Dial(c.network, owner.Addr, nfsproto.Program, nfsproto.Version3)
 		if err != nil {
 			// rpcnet typed the exhaustion case (ErrConnExhausted);
 			// surface it as-is so amplified callers can diagnose.
 			return nil, err
 		}
-		cl.SetTimeout(c.cfg.Timeout)
+		cl.SetTimeout(callTimeout)
 		c.dials.Add(1)
 		p.conns = append(p.conns, cl)
 		return cl, nil
@@ -210,7 +193,7 @@ func (p *Pending) Wait(d time.Duration) ([]byte, error) {
 			return body, nil
 		}
 		p.c.redirects.Add(1)
-		if attempt >= p.c.cfg.MaxRedirects {
+		if attempt >= maxRedirects {
 			return nil, fmt.Errorf("%w: proc %d fh %d", ErrRedirectLoop, p.proc, p.fh)
 		}
 		if err := p.c.ensureVersion(version); err != nil {
@@ -226,7 +209,7 @@ func (p *Pending) Wait(d time.Duration) ([]byte, error) {
 
 // Call is Go + Wait.
 func (c *Client) Call(proc uint32, fh nfsproto.FH, args []byte) ([]byte, error) {
-	return c.Go(proc, fh, args).Wait(c.cfg.Timeout)
+	return c.Go(proc, fh, args).Wait(callTimeout)
 }
 
 // AllocFH returns one cluster-allocated handle, drawing batches from

@@ -26,13 +26,6 @@ type Config struct {
 	// CtrlAddr is the control plane's bind address (default
 	// "127.0.0.1:0").
 	CtrlAddr string
-	// TableShards is the nfsheur stripe count inside each shard
-	// process. The default 1 is deliberate: one lock per process is
-	// the serialization the cluster exists to stripe — each added
-	// shard adds a whole process worth of lock, heap, and socket
-	// capacity, which is the nfsheur striping pattern lifted one
-	// level up.
-	TableShards int
 }
 
 func (c *Config) fill() {
@@ -45,10 +38,14 @@ func (c *Config) fill() {
 	if c.CtrlAddr == "" {
 		c.CtrlAddr = "127.0.0.1:0"
 	}
-	if c.TableShards <= 0 {
-		c.TableShards = 1
-	}
 }
+
+// tableShards is the nfsheur stripe count inside each shard process.
+// One is deliberate: one lock per process is the serialization the
+// cluster exists to stripe — each added shard adds a whole process
+// worth of lock, heap, and socket capacity, which is the nfsheur
+// striping pattern lifted one level up.
+const tableShards = 1
 
 // shard is one nfsd instance plus its cluster guard.
 type shard struct {
@@ -68,9 +65,9 @@ type shard struct {
 // with its own store, heuristics table, registry and listening
 // sockets, plus the control plane. Membership changes (AddShard,
 // Drain) rebalance with minimal key movement: only handles whose ring
-// owner changes are copied, then the new map is published atomically
-// and a quiesce + fenced delta pass catches writes that raced the flip
-// (see rebalance).
+// owner changes are copied, under a migration hold that keeps their
+// bytes identical on both owners until the new map is published (see
+// rebalance).
 type Cluster struct {
 	cfg   Config
 	cp    *ControlPlane
@@ -80,10 +77,27 @@ type Cluster struct {
 	shards map[uint32]*shard
 	nextID uint32
 
-	// Test seams pinning the rebalance schedule at its two
-	// race-sensitive points; both nil outside tests.
-	hookAfterTracking func() // tracking+fences on, copy pass not started
-	hookAfterQuiesce  func() // map flipped and quiesced, delta not started
+	// hook is a test seam run at each rebalance phase boundary; nil
+	// outside tests.
+	hook func(phase)
+}
+
+// phase names a rebalance boundary, in the order rebalance crosses
+// them.
+type phase int
+
+const (
+	phaseInstalled phase = iota // migration held on every member
+	phaseCopied                 // every moving file shipped to its new owner
+	phaseFlipped                // next map on the control plane and every guard
+	phaseReleased               // migration cleared, held mutations re-routed
+	phasePruned                 // moved files dropped from their old owners
+)
+
+func (c *Cluster) reached(p phase) {
+	if c.hook != nil {
+		c.hook(p)
+	}
 }
 
 // New builds and starts a cluster.
@@ -101,13 +115,11 @@ func New(cfg Config) (*Cluster, error) {
 		members = append(members, s.info)
 	}
 	initial := NewMap(1, members)
-	for _, s := range c.shards {
-		s.guard.setMap(initial)
-	}
 	c.cpReg = obs.NewRegistry()
 	// c.cp must be set before serve: the membership callbacks reach back
 	// through it, and a client may connect the moment the listener is up.
 	c.cp = newControlPlane(initial, c.cpReg, c.Drain, c.AddShard)
+	c.flip(initial)
 	if err := c.cp.serve(cfg.CtrlAddr); err != nil {
 		c.Close()
 		return nil, err
@@ -123,7 +135,7 @@ func (c *Cluster) newShard(view *Map) (*shard, error) {
 	reg := obs.NewRegistry()
 	fs := memfs.NewFS()
 	tp := nfsheur.ScaledParams()
-	tp.Shards = c.cfg.TableShards
+	tp.Shards = tableShards
 	svc := nfsd.New(fs, nfsd.Config{
 		Heuristic: readahead.SlowDown{},
 		Table:     nfsheur.New(tp),
@@ -217,84 +229,46 @@ func (c *Cluster) active() []*shard {
 
 // rebalance migrates from the cur map to the next (caller holds c.mu):
 //
-//  1. dirty tracking and migration fences on, then copy every file
-//     whose owner changes — the long pass, running while the old map
-//     still serves;
-//  2. publish next atomically (control plane + every guard);
-//  3. quiesce each member's old-epoch requests so no pre-flip write is
-//     still mid-dispatch;
-//  4. delta-copy the handles written during the copy pass;
-//  5. lift the fences — post-flip mutations to migrated handles, which
-//     the gaining guard parked so the delta could not overwrite them,
-//     now apply on top of the shipped bytes (last-writer-wins holds);
-//  6. prune files from shards that no longer own them.
+//  1. install the migration on every member: from then on, a mutation
+//     to a handle whose owner changes waits (see guard.handler), and
+//     the install returns only once mutations admitted earlier have
+//     replied;
+//  2. copy every file whose owner changes to its new owner, while the
+//     old map keeps serving reads;
+//  3. flip: publish next on the control plane and every guard at once;
+//  4. release: clear the migration and wake the held mutations, which
+//     redirect or run on the new owner;
+//  5. prune files from shards that no longer own them.
 //
-// Steps 3–5 close the copy/write race in both directions: a write that
-// completes on the source before the flip is quiesced, dirty-tracked
-// and re-shipped, and a write that lands on the new owner after the
-// flip waits out the delta behind the fence instead of being clobbered
-// by it. The remaining documented anomaly: a client still holding the
-// old map can read stale bytes from the source between copy and its
-// first redirect; it can never write them (writes dirty-track and
-// re-ship).
+// A moving file cannot change between its copy and the flip, so its old
+// and new owner hold the same bytes for that whole window: a reader on
+// either map sees the last acked write, and no write is lost.
 func (c *Cluster) rebalance(cur, next *Map) error {
 	members := c.active()
+	mig := &migration{from: cur, to: next, done: make(chan struct{})}
 	for _, s := range members {
-		s.guard.trackDirty(true)
-		s.guard.setFence(cur)
+		s.guard.setMigration(mig)
 	}
-	// Every exit path — including a failed copy pass — must stop dirty
-	// tracking (or the sets grow without bound until the next membership
-	// change) and release any requests parked on a fence.
-	defer func() {
+	// Clear before closing done, so a woken mutation never finds the
+	// finished migration still installed.
+	release := func() {
 		for _, s := range members {
-			s.guard.trackDirty(false)
-			s.guard.liftFence()
+			s.guard.setMigration(nil)
 		}
-	}()
-	if c.hookAfterTracking != nil {
-		c.hookAfterTracking()
+		close(mig.done)
 	}
-	if err := c.copyPass(members, next, nil); err != nil {
+	c.reached(phaseInstalled)
+	if err := c.copyPass(members, next); err != nil {
+		release()
 		return err
 	}
+	c.reached(phaseCopied)
 
-	// Flip: control plane first (new fetches see it), then the guards.
-	c.cp.cur.Store(next)
-	for _, s := range c.shards {
-		s.guard.setMap(next)
-	}
-	for _, s := range members {
-		s.guard.quiesce(cur.Version)
-	}
-	if c.hookAfterQuiesce != nil {
-		c.hookAfterQuiesce()
-	}
+	c.flip(next)
+	c.reached(phaseFlipped)
+	release()
+	c.reached(phaseReleased)
 
-	// Delta: re-ship what was written while the copy pass ran. Gaining
-	// guards hold their fences until this lands, so no post-flip write
-	// can interleave under a CreateAt that would replace it.
-	for _, s := range members {
-		dirty := s.guard.takeDirty()
-		if len(dirty) == 0 {
-			continue
-		}
-		set := make(map[nfsproto.FH]struct{}, len(dirty))
-		for _, fh := range dirty {
-			set[fh] = struct{}{}
-		}
-		if err := c.copyPass([]*shard{s}, next, set); err != nil {
-			return err
-		}
-	}
-
-	// Delta landed: release parked mutations before the prune walk so
-	// they don't wait out work that cannot affect them.
-	for _, s := range members {
-		s.guard.liftFence()
-	}
-
-	// Prune: drop every file from shards that no longer own it.
 	for _, s := range members {
 		page, err := s.fs.Readdir(vfs.RootFH, 0, 0, 0)
 		if err != nil {
@@ -311,12 +285,28 @@ func (c *Cluster) rebalance(cur, next *Map) error {
 			}
 		}
 	}
+	c.reached(phasePruned)
 	return nil
 }
 
+// flip publishes next on the control plane and every guard at once. It
+// holds every guard's lock before changing anything, so no request runs
+// while a guard and the control plane disagree: a client that fetched
+// next is never redirected back by a guard still serving cur.
+func (c *Cluster) flip(next *Map) {
+	for _, s := range c.shards {
+		s.guard.mu.Lock()
+	}
+	c.cp.cur.Store(next)
+	for _, s := range c.shards {
+		s.guard.view = next
+		s.guard.mu.Unlock()
+	}
+}
+
 // copyPass ships every file on the given shards whose next-map owner
-// differs, optionally restricted to a handle set (the delta pass).
-func (c *Cluster) copyPass(from []*shard, next *Map, only map[nfsproto.FH]struct{}) error {
+// differs.
+func (c *Cluster) copyPass(from []*shard, next *Map) error {
 	for _, s := range from {
 		page, err := s.fs.Readdir(vfs.RootFH, 0, 0, 0)
 		if err != nil {
@@ -325,11 +315,6 @@ func (c *Cluster) copyPass(from []*shard, next *Map, only map[nfsproto.FH]struct
 		for _, e := range page.Entries {
 			if e.Attr.Dir {
 				continue
-			}
-			if only != nil {
-				if _, ok := only[e.FH]; !ok {
-					continue
-				}
 			}
 			owner, ok := next.OwnerID(uint64(e.FH))
 			if !ok || owner == s.info.ID {

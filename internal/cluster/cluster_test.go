@@ -38,7 +38,7 @@ func readOK(t *testing.T, cl *Client, fh nfsproto.FH, size uint64) {
 // back through the routed client.
 func TestClusterCreateAndRead(t *testing.T) {
 	c := newTestCluster(t, 3)
-	cl, err := DialClient("tcp", c.CtrlAddr(), ClientConfig{})
+	cl, err := DialClient("tcp", c.CtrlAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestClusterCreateAndRead(t *testing.T) {
 // the owner or is redirected and retried, never errored.
 func TestDrainUnderLoad(t *testing.T) {
 	c := newTestCluster(t, 4)
-	cl, err := DialClient("tcp", c.CtrlAddr(), ClientConfig{})
+	cl, err := DialClient("tcp", c.CtrlAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestDrainUnderLoad(t *testing.T) {
 // version to refresh to.
 func TestStaleRedirectCarriesNewVersion(t *testing.T) {
 	c := newTestCluster(t, 3)
-	cl, err := DialClient("tcp", c.CtrlAddr(), ClientConfig{})
+	cl, err := DialClient("tcp", c.CtrlAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +216,7 @@ func TestVersionsMonotonic(t *testing.T) {
 // label, and the same counter from different shards stays distinct.
 func TestMergedSnapshotLabels(t *testing.T) {
 	c := newTestCluster(t, 2)
-	cl, err := DialClient("tcp", c.CtrlAddr(), ClientConfig{})
+	cl, err := DialClient("tcp", c.CtrlAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,22 +254,20 @@ func keys[V any](m map[string]V) []string {
 
 // TestRebalancePreservesRacingWrites hammers a small file set with
 // writers (each owning a private 8-byte slot per file) while shards are
-// added and drained. The delta copy pass re-ships bytes written during
-// the migration window; a write that lands on the gaining shard after
-// the map flip must park on the migration fence until that delta has
-// landed, or the re-ship silently reverts it. The bar: every slot ends
-// holding the last value its writer was ACKed for, and no write errors.
+// added and drained. Writes to moving files wait out the migration
+// while their old bytes are copied, then land on the new owner. The
+// bar: every slot ends holding the last value its writer was ACKed for,
+// and no write errors.
 func TestRebalancePreservesRacingWrites(t *testing.T) {
 	c := newTestCluster(t, 2)
-	cl, err := DialClient("tcp", c.CtrlAddr(), ClientConfig{})
+	cl, err := DialClient("tcp", c.CtrlAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	// Enough files of enough size that the delta copy pass has real
-	// work: the lost-update window (post-flip write vs its handle's
-	// delta re-ship) is only open while the delta pass runs.
+	// Enough files of enough size that the copy pass has real work,
+	// so writers keep arriving while the migration is installed.
 	const nFiles = 96
 	const fileSize = 64 << 10
 	const writers = 8
@@ -367,199 +365,201 @@ func TestRebalancePreservesRacingWrites(t *testing.T) {
 	verify("final")
 }
 
-// TestFenceParksPostFlipWriteUntilDelta drives the exact interleaving
-// of the rebalance lost-update race deterministically, via the
-// schedule seams: a write dirties a migrating handle at its source
-// during the copy window, then — after the flip and quiesce, with the
-// delta copy still pending — a second write to the same handle reaches
-// the gaining shard. The fence must park that write until the delta
-// lands; were it admitted first, the delta's CreateAt would replace the
-// file with the pre-flip bytes and silently revert an acked write.
-func TestFenceParksPostFlipWriteUntilDelta(t *testing.T) {
+// phaseNames labels the rebalance phase boundaries, indexed by phase.
+var phaseNames = []string{"installed", "copied", "flipped", "released", "pruned"}
+
+// scheduleHold bounds the waits behind the schedule test's "has not
+// happened yet" checks: how long a held write waits for a phase the
+// rebalance cannot reach while it is held, and how long an arriving
+// write is watched for an early ack. Neither wait is a pass condition.
+const scheduleHold = 50 * time.Millisecond
+
+// TestRebalanceSchedule walks one WRITE to a moving handle through
+// every rebalance phase boundary, on both legs, in two modes:
+//
+//   - arrive: the write is issued through the client when the phase is
+//     reached; while the migration is installed it must not be acked;
+//   - held: the write is admitted on its source before the rebalance
+//     starts and parked at the guard's pre-execute seam until the phase
+//     is reached — or, since no phase can pass a migration install
+//     while a mutation admitted before it is in flight, for a bounded
+//     wait, after which the install must still not have happened.
+//
+// Each case asserts that the rebalance completes, the acked value is on
+// the final owner, and every READ through the client that starts after
+// the ack — right after it, at each later phase boundary, and after the
+// rebalance — returns that value.
+func TestRebalanceSchedule(t *testing.T) {
+	for _, leg := range []string{"add", "drain"} {
+		for p, name := range phaseNames {
+			for _, mode := range []string{"arrive", "held"} {
+				t.Run(leg+"/"+name+"/"+mode, func(t *testing.T) {
+					runSchedule(t, leg, phase(p), mode == "held")
+				})
+			}
+		}
+	}
+}
+
+func runSchedule(t *testing.T, leg string, at phase, held bool) {
 	c := newTestCluster(t, 2)
-	cl, err := DialClient("tcp", c.CtrlAddr(), ClientConfig{})
+	cl, err := DialClient("tcp", c.CtrlAddr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
 
-	// A file owned by the shard we will drain, so it must migrate.
-	m1 := c.Map()
-	srcID := m1.Shards[0].ID
+	// The map the membership change will publish: ownership depends on
+	// shard ids alone, and an added shard takes the next id.
+	cur := c.Map()
+	var next *Map
+	if leg == "add" {
+		next = NewMap(cur.Version+1, append(append([]ShardInfo(nil), cur.Shards...), ShardInfo{ID: c.nextID}))
+	} else {
+		next = NewMap(cur.Version+1, cur.Shards[1:])
+	}
 	var fh nfsproto.FH
+	var src uint32
 	for i := 0; ; i++ {
-		f, err := cl.Create(fmt.Sprintf("park%d", i), 8)
+		f, err := cl.Create(fmt.Sprintf("s%d", i), 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if owner, _ := m1.OwnerID(uint64(f)); owner == srcID {
-			fh = f
+		from, _ := cur.OwnerID(uint64(f))
+		to, _ := next.OwnerID(uint64(f))
+		if from != to {
+			fh, src = f, from
 			break
 		}
 	}
 
-	write := func(val uint64) error {
-		buf := make([]byte, 8)
-		binary.BigEndian.PutUint64(buf, val)
+	acked := make(chan struct{})    // closed once the write is acked
+	finished := make(chan struct{}) // closed once the write and the read after it returned
+	var writeErr, readErr error
+	var readAfter uint64
+	write := func() {
+		defer close(finished)
 		body, err := cl.Call(nfsproto.ProcWrite, fh, (&nfsproto.WriteArgs{
-			FH: fh, Count: 8, Stable: nfsproto.WriteFileSync, Data: buf,
+			FH: fh, Count: 8, Stable: nfsproto.WriteFileSync,
+			Data: binary.BigEndian.AppendUint64(nil, 1),
 		}).Marshal())
-		if err != nil {
-			return err
+		if err == nil && binary.BigEndian.Uint32(body) != nfsproto.OK {
+			err = fmt.Errorf("nfs status %d", binary.BigEndian.Uint32(body))
 		}
-		if st := binary.BigEndian.Uint32(body); st != nfsproto.OK {
-			return fmt.Errorf("nfs status %d", st)
+		if writeErr = err; err != nil {
+			return
 		}
-		return nil
+		close(acked)
+		readAfter, readErr = readValue(cl, fh)
+	}
+	// checkRead reads through the client: the file holds 0 until the
+	// write is acked and 1 from then on.
+	checkRead := func(where string) {
+		ackedBefore := closed(acked)
+		v, err := readValue(cl, fh)
+		switch {
+		case err != nil:
+			t.Errorf("%s: read: %v", where, err)
+		case ackedBefore && v != 1:
+			t.Errorf("%s: read after the ack returned %d, want 1", where, v)
+		case v > 1:
+			t.Errorf("%s: read returned %d, want 0 or 1", where, v)
+		}
 	}
 
-	var w2done atomic.Bool
-	var w2err error
-	var wg sync.WaitGroup
-	c.hookAfterTracking = func() {
-		// Pre-flip write: lands on the source, marking fh dirty so the
-		// delta pass will re-ship it.
-		if err := write(1); err != nil {
-			t.Errorf("pre-flip write: %v", err)
+	reached := make([]chan struct{}, len(phaseNames))
+	for i := range reached {
+		reached[i] = make(chan struct{})
+	}
+	c.hook = func(p phase) {
+		close(reached[p])
+		checkRead(phaseNames[p])
+		if held || p != at {
+			return
+		}
+		go write()
+		if p < phaseReleased {
+			select {
+			case <-acked:
+				t.Errorf("write to a moving file acked at %s, before the migration was released", phaseNames[p])
+			case <-time.After(scheduleHold):
+			}
 		}
 	}
-	c.hookAfterQuiesce = func() {
-		// Post-flip write: chases the redirect to the gaining shard while
-		// fh's delta copy is still pending. It must park on the fence.
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w2err = write(2)
-			w2done.Store(true)
-		}()
-		deadline := time.Now().Add(100 * time.Millisecond)
-		for time.Now().Before(deadline) {
-			if w2done.Load() {
-				t.Error("post-flip write committed before the delta pass — fence did not park it")
+
+	if held {
+		entered := make(chan struct{})
+		var once sync.Once
+		c.shards[src].guard.hookBeforeExec = func(proc uint32) {
+			if proc != nfsproto.ProcWrite {
 				return
 			}
-			time.Sleep(time.Millisecond)
+			once.Do(func() {
+				close(entered)
+				select {
+				case <-reached[at]:
+				case <-time.After(scheduleHold):
+				}
+				if closed(reached[phaseInstalled]) {
+					t.Error("migration installed while a write admitted before it was in flight")
+				}
+			})
+		}
+		go write()
+		select {
+		case <-entered:
+		case <-finished:
+			t.Fatalf("write finished without being held: %v", writeErr)
 		}
 	}
-	if _, err := c.Drain(srcID); err != nil {
+
+	if leg == "add" {
+		_, _, err = c.AddShard()
+	} else {
+		_, err = c.Drain(cur.Shards[0].ID)
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
-	wg.Wait()
-	if w2err != nil {
-		t.Fatalf("post-flip write: %v", w2err)
+	<-finished // the client's call timeout bounds this
+	if writeErr != nil {
+		t.Fatalf("write: %v", writeErr)
 	}
-
-	owner, ok := c.Map().OwnerID(uint64(fh))
-	if !ok {
-		t.Fatal("no owner after drain")
+	if readErr != nil || readAfter != 1 {
+		t.Fatalf("read right after the ack: %d, %v; want 1", readAfter, readErr)
 	}
+	owner, _ := c.Map().OwnerID(uint64(fh))
 	data, _, err := c.shards[owner].fs.Read(fh, 0, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := binary.BigEndian.Uint64(data); got != 2 {
-		t.Fatalf("delta pass reverted the post-flip write: file holds %d, want 2", got)
+	if got := binary.BigEndian.Uint64(data); got != 1 {
+		t.Fatalf("lost update: final owner %d holds %d, last acked 1", owner, got)
 	}
+	checkRead("after the rebalance")
 }
 
-// TestRebalanceReshipsWriteParkedAcrossTracking drives the lost-update
-// interleaving behind TestRebalancePreservesRacingWrites's rare
-// failures, deterministically and on both legs: a WRITE to a migrating
-// handle is admitted on its source shard while dirty tracking is still
-// off, then held at the guard's pre-execute seam while the rebalance
-// turns tracking on (hookAfterTracking) and copies the file. Released
-// once the new map is published, it executes on the source before the
-// quiesce completes. Only a dirty mark taken after executing puts it in
-// the delta pass; a mark taken at admission, with tracking off, loses
-// the acked write on the new owner.
-func TestRebalanceReshipsWriteParkedAcrossTracking(t *testing.T) {
-	for _, leg := range []string{"add", "drain"} {
-		t.Run(leg, func(t *testing.T) {
-			c := newTestCluster(t, 2)
-			cl, err := DialClient("tcp", c.CtrlAddr(), ClientConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
+// readValue reads fh's first 8 bytes through the routed client.
+func readValue(cl *Client, fh nfsproto.FH) (uint64, error) {
+	body, err := cl.Call(nfsproto.ProcRead, fh, (&nfsproto.ReadArgs{FH: fh, Count: 8}).Marshal())
+	if err != nil {
+		return 0, err
+	}
+	res, err := nfsproto.UnmarshalReadRes(body)
+	if err != nil {
+		return 0, err
+	}
+	if res.Status != nfsproto.OK || len(res.Data) != 8 {
+		return 0, fmt.Errorf("read: status %d, %d bytes", res.Status, len(res.Data))
+	}
+	return binary.BigEndian.Uint64(res.Data), nil
+}
 
-			// The map the membership change will publish: ownership
-			// depends on shard ids alone, and an added shard takes the
-			// next id.
-			cur := c.Map()
-			var next *Map
-			if leg == "add" {
-				next = NewMap(cur.Version+1, append(append([]ShardInfo(nil), cur.Shards...), ShardInfo{ID: c.nextID}))
-			} else {
-				next = NewMap(cur.Version+1, cur.Shards[1:])
-			}
-			var fh nfsproto.FH
-			var src uint32
-			for i := 0; ; i++ {
-				f, err := cl.Create(fmt.Sprintf("m%d", i), 8)
-				if err != nil {
-					t.Fatal(err)
-				}
-				from, _ := cur.OwnerID(uint64(f))
-				to, _ := next.OwnerID(uint64(f))
-				if from != to {
-					fh, src = f, from
-					break
-				}
-			}
-
-			entered := make(chan struct{})
-			release := make(chan struct{})
-			var once sync.Once
-			c.shards[src].guard.hookBeforeExec = func() {
-				once.Do(func() {
-					close(entered)
-					<-release
-				})
-			}
-			done := make(chan error, 1)
-			go func() {
-				body, err := cl.Call(nfsproto.ProcWrite, fh, (&nfsproto.WriteArgs{
-					FH: fh, Count: 8, Stable: nfsproto.WriteFileSync,
-					Data: binary.BigEndian.AppendUint64(nil, 1),
-				}).Marshal())
-				if err == nil && binary.BigEndian.Uint32(body) != nfsproto.OK {
-					err = fmt.Errorf("nfs status %d", binary.BigEndian.Uint32(body))
-				}
-				done <- err
-			}()
-			<-entered // admitted under cur, tracking off
-
-			c.hookAfterTracking = func() {
-				// Hold the write until the copy pass has shipped the
-				// file's old bytes and the flip is published; the
-				// quiesce that follows waits for it.
-				go func() {
-					for c.Map().Version != next.Version {
-						time.Sleep(100 * time.Microsecond)
-					}
-					close(release)
-				}()
-			}
-			if leg == "add" {
-				_, _, err = c.AddShard()
-			} else {
-				_, err = c.Drain(cur.Shards[0].ID)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := <-done; err != nil {
-				t.Fatalf("write: %v", err)
-			}
-
-			owner, _ := c.Map().OwnerID(uint64(fh))
-			data, _, err := c.shards[owner].fs.Read(fh, 0, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := binary.BigEndian.Uint64(data); got != 1 {
-				t.Fatalf("lost update: new owner %d holds %d, last acked 1", owner, got)
-			}
-		})
+func closed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
 }

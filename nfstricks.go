@@ -519,15 +519,11 @@ func DialLiveRetry(network, addr string, policy RetryPolicy, faults *FaultInject
 type (
 	// Cluster is the in-process shard group plus its control plane.
 	Cluster = cluster.Cluster
-	// ClusterConfig sizes a cluster (shard count, bind addresses,
-	// per-shard nfsheur stripes).
+	// ClusterConfig sizes a cluster (shard count, bind addresses).
 	ClusterConfig = cluster.Config
 	// ClusterClient routes calls by handle, chases wrong-shard
 	// redirects, and refreshes its map from the control plane.
 	ClusterClient = cluster.Client
-	// ClusterClientConfig bounds the client's per-shard connection
-	// pool, call timeout, and redirect budget.
-	ClusterClientConfig = cluster.ClientConfig
 	// ClusterMap is one version of the shard layout: strictly
 	// monotonic versions over a consistent-hash ring.
 	ClusterMap = cluster.Map
@@ -541,6 +537,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 }
 
 // DialCluster connects a shard-aware client via the control plane.
-func DialCluster(network, ctrlAddr string, cfg ClusterClientConfig) (*ClusterClient, error) {
-	return cluster.DialClient(network, ctrlAddr, cfg)
+func DialCluster(network, ctrlAddr string) (*ClusterClient, error) {
+	return cluster.DialClient(network, ctrlAddr)
 }
