@@ -56,7 +56,7 @@ func main() {
 		csv     = flag.String("csv", "", "also write results as CSV to this file")
 		jsonOut = flag.String("json", "", "also write results as JSON to this file")
 		verify  = flag.Bool("verify", false, "check the paper's shape claims against the results")
-		profile = flag.String("profile", "", "write pprof profiles into this directory: one CPU profile per live experiment cell, one heap profile per experiment")
+		profile = flag.String("profile", "", "write pprof profiles into this directory: one CPU profile per experiment cell and X (run 0), one heap profile per experiment")
 	)
 	flag.Parse()
 

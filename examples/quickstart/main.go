@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"nfstricks"
-	"nfstricks/internal/nfsserver"
 )
 
 func main() {
@@ -23,7 +22,7 @@ func main() {
 		tb, err := nfstricks.NewTestbed(nfstricks.Options{
 			Seed: 42,
 			Disk: nfstricks.IDE,
-			Server: nfsserver.Config{
+			Server: nfstricks.ServerConfig{
 				Heuristic: heuristic,
 				Table:     nfstricks.ImprovedNfsheur(),
 			},

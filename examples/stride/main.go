@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"nfstricks"
-	"nfstricks/internal/nfsserver"
 )
 
 func main() {
@@ -27,7 +26,7 @@ func main() {
 			tb, err := nfstricks.NewTestbed(nfstricks.Options{
 				Seed: 3,
 				Disk: nfstricks.IDE,
-				Server: nfsserver.Config{
+				Server: nfstricks.ServerConfig{
 					Heuristic: heuristic,
 					Table:     nfstricks.ImprovedNfsheur(),
 				},

@@ -1,15 +1,10 @@
 package bench
 
 import (
-	"fmt"
-
-	"nfstricks/internal/ffs"
 	"nfstricks/internal/nfsheur"
 	"nfstricks/internal/nfsserver"
 	"nfstricks/internal/readahead"
-	"nfstricks/internal/stats"
 	"nfstricks/internal/testbed"
-	"nfstricks/internal/workload"
 )
 
 // AblationAging tests the paper's §3 claim that read-ahead heuristics
@@ -17,48 +12,19 @@ import (
 // measured at increasing fragmentation levels (X is the maximum aging
 // skip in blocks).
 func AblationAging(p Params) (*Result, error) {
-	p.fill()
-	agingLevels := []int{0, 128, 512}
 	r := &Result{
 		ID: "ablate-aging", Title: "Stride (s=4, ide1) throughput vs file-system aging",
 		XLabel: "aging-skip", YLabel: "throughput (MB/s)",
-		X: agingLevels,
+		X: []int{0, 128, 512},
 	}
-	size := int64(256) * workload.MB / int64(p.Scale)
-	for _, heuristic := range []string{"cursor", "default"} {
-		s := Series{Label: heuristic}
-		for _, aging := range agingLevels {
-			var xs []float64
-			for run := 0; run < p.Runs; run++ {
-				tb, err := testbed.New(testbed.Options{
-					Seed: p.Seed + int64(run), Disk: testbed.IDE,
-					FS: ffs.Config{AgingSkipBlocks: aging},
-					Server: nfsserver.Config{
-						Heuristic: heuristicByName(heuristic),
-						Table:     nfsheur.ImprovedParams(),
-					},
-				})
-				if err != nil {
-					return nil, err
-				}
-				if _, err := tb.FS.Create("stride", size); err != nil {
-					return nil, err
-				}
-				if err := tb.Start(); err != nil {
-					return nil, err
-				}
-				res, err := workload.RunNFSStrideReader(tb, "stride", 4)
-				tb.K.Shutdown()
-				if err != nil {
-					return nil, err
-				}
-				xs = append(xs, res.ThroughputMBps())
-			}
-			s.Samples = append(s.Samples, stats.Summarize(xs))
-		}
-		r.Series = append(r.Series, s)
-	}
-	return r, nil
+	return simSweep(p, r, []simCell{
+		{"cursor", "cursor", strideOptions(testbed.IDE)},
+		{"default", "default", strideOptions(testbed.IDE)},
+	}, func(c simCell, aging int) (testbed.Options, simWork) {
+		opts := c.options()
+		opts.FS.AgingSkipBlocks = aging
+		return opts, simWork{stride: 4}
+	})
 }
 
 // AblationCursors sweeps the per-file cursor limit against an 8-stride
@@ -66,82 +32,36 @@ func AblationAging(p Params) (*Result, error) {
 // number of cursors"; below 8 cursors the 8-stride pattern thrashes the
 // cursor set.
 func AblationCursors(p Params) (*Result, error) {
-	p.fill()
-	counts := []int{1, 2, 4, 8, 16}
 	r := &Result{
 		ID: "ablate-cursors", Title: "8-stride (ide1) throughput vs cursors per file",
 		XLabel: "cursors", YLabel: "throughput (MB/s)",
-		X: counts,
+		X: []int{1, 2, 4, 8, 16},
 	}
-	size := int64(256) * workload.MB / int64(p.Scale)
-	s := Series{Label: "cursor heuristic"}
-	for _, mc := range counts {
-		var xs []float64
-		for run := 0; run < p.Runs; run++ {
-			tb, err := testbed.New(testbed.Options{
-				Seed: p.Seed + int64(run), Disk: testbed.IDE,
-				Server: nfsserver.Config{
-					Heuristic: &readahead.CursorHeuristic{MaxCursors: mc},
-					Table:     nfsheur.ImprovedParams(),
-				},
-			})
-			if err != nil {
-				return nil, err
-			}
-			if _, err := tb.FS.Create("stride", size); err != nil {
-				return nil, err
-			}
-			if err := tb.Start(); err != nil {
-				return nil, err
-			}
-			res, err := workload.RunNFSStrideReader(tb, "stride", 8)
-			tb.K.Shutdown()
-			if err != nil {
-				return nil, err
-			}
-			xs = append(xs, res.ThroughputMBps())
-		}
-		s.Samples = append(s.Samples, stats.Summarize(xs))
+	r, err := simSweep(p, r, []simCell{{label: "cursor heuristic", opts: strideOptions(testbed.IDE)}},
+		func(c simCell, cursors int) (testbed.Options, simWork) {
+			opts := c.options()
+			opts.Server.Heuristic = &readahead.CursorHeuristic{MaxCursors: cursors}
+			return opts, simWork{stride: 8}
+		})
+	if err != nil {
+		return nil, err
 	}
-	r.Series = append(r.Series, s)
 	r.Notes = append(r.Notes, "below 8 cursors the 8 sub-streams evict each other (LRU) and read-ahead never builds")
 	return r, nil
 }
 
-// AblationNfsheur sweeps nfsheur table geometries under 32 concurrent
-// UDP readers with the default heuristic — isolating the paper's §6.3
+// AblationNfsheur sweeps nfsheur table geometries under 32 concurrent UDP
+// readers with the default heuristic — isolating the paper's §6.3
 // finding that table capacity, not heuristic accuracy, dominates.
 func AblationNfsheur(p Params) (*Result, error) {
-	p.fill()
-	tables := []struct {
-		label string
-		prm   nfsheur.Params
-	}{
-		{"15 slots/1 probe (4.x)", nfsheur.DefaultParams()},
-		{"64 slots/4 probes (paper)", nfsheur.ImprovedParams()},
-		{"1024 slots/8 probes", nfsheur.LargeParams()},
+	mk := func(table nfsheur.Params) testbed.Options {
+		return testbed.Options{Disk: testbed.IDE, Partition: 1, Server: nfsserver.Config{Table: table}}
 	}
-	r := &Result{
-		ID: "ablate-nfsheur", Title: "Throughput vs nfsheur geometry (UDP, default heuristic)",
-		XLabel: "readers", YLabel: "throughput (MB/s)",
-		X: workload.ReaderCounts,
-	}
-	for _, tbl := range tables {
-		c := cell{tbl.label, testbed.Options{
-			Disk: testbed.IDE, Partition: 1,
-			Server: nfsserver.Config{Table: tbl.prm},
-		}}
-		s := Series{Label: tbl.label}
-		for _, n := range workload.ReaderCounts {
-			sample, err := runNFSCell(c, "default", n, p)
-			if err != nil {
-				return nil, err
-			}
-			s.Samples = append(s.Samples, sample)
-		}
-		r.Series = append(r.Series, s)
-	}
-	return r, nil
+	return readersSweep(p, "ablate-nfsheur", "Throughput vs nfsheur geometry (UDP, default heuristic)", true, []simCell{
+		{"15 slots/1 probe (4.x)", "default", mk(nfsheur.DefaultParams())},
+		{"64 slots/4 probes (paper)", "default", mk(nfsheur.ImprovedParams())},
+		{"1024 slots/8 probes", "default", mk(nfsheur.LargeParams())},
+	})
 }
 
 // AblationWindow sweeps the server's maximum read-ahead window with the
@@ -149,30 +69,17 @@ func AblationNfsheur(p Params) (*Result, error) {
 // waiting on round trips; the returns diminish once the window covers
 // the pipeline.
 func AblationWindow(p Params) (*Result, error) {
-	p.fill()
-	windows := []int{0, 8, 16, 32, 64}
 	r := &Result{
 		ID: "ablate-window", Title: "8-reader UDP throughput vs server read-ahead window",
 		XLabel: "window-blocks", YLabel: "throughput (MB/s)",
-		X: windows,
+		X: []int{0, 8, 16, 32, 64},
 	}
-	s := Series{Label: "always heuristic, ide1"}
-	for _, w := range windows {
-		cfg := nfsserver.Config{Table: nfsheur.ImprovedParams(), MaxReadAhead: w}
-		if w == 0 {
-			// MaxReadAhead==0 means "default" to the config; emulate a
-			// no-read-ahead server with a window of 1 block.
-			cfg.MaxReadAhead = 1
-		}
-		c := cell{fmt.Sprintf("w=%d", w), testbed.Options{
-			Disk: testbed.IDE, Partition: 1, Server: cfg,
-		}}
-		sample, err := runNFSCell(c, "always", 8, p)
-		if err != nil {
-			return nil, err
-		}
-		s.Samples = append(s.Samples, sample)
-	}
-	r.Series = append(r.Series, s)
-	return r, nil
+	cell := simCell{"always heuristic, ide1", "always", strideOptions(testbed.IDE)}
+	return simSweep(p, r, []simCell{cell}, func(c simCell, w int) (testbed.Options, simWork) {
+		opts := c.options()
+		// MaxReadAhead==0 means "default" to the config; emulate a
+		// no-read-ahead server with a window of 1 block.
+		opts.Server.MaxReadAhead = max(w, 1)
+		return opts, simWork{nfs: true, readers: 8}
+	})
 }

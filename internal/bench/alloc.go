@@ -8,7 +8,6 @@ import (
 	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
 	"nfstricks/internal/rpcnet"
-	"nfstricks/internal/stats"
 )
 
 // allocSizes are the READ/WRITE transfer sizes profiled (bytes).
@@ -39,52 +38,28 @@ func allocMeasure(ops int, op func() error) (allocsPerOp, bytesPerOp float64, er
 		float64(m1.TotalAlloc-m0.TotalAlloc) / float64(ops), nil
 }
 
-// allocProfileEnv is one live loopback server + TCP client pair.
-type allocProfileEnv struct {
-	fs  *memfs.FS
-	srv *rpcnet.Server
-	c   *memfs.Client
-	rc  *rpcnet.Client
-	fh  nfsproto.FH
-}
-
-func newAllocProfileEnv() (*allocProfileEnv, error) {
+// withAllocEnv serves one MaxData-byte file over loopback TCP and runs
+// body with the NFS client, a raw RPC client beside it and the file's
+// handle.
+func withAllocEnv(body func(c *memfs.Client, rc *rpcnet.Client, fh nfsproto.FH) error) error {
 	fs := memfs.NewFS()
 	payload := make([]byte, nfsproto.MaxData)
 	for i := range payload {
 		payload[i] = byte(i * 17)
 	}
 	fs.Create(memfs.RootFH, "data", payload)
-	svc := nfsd.New(fs, nfsd.Config{})
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
-	if err != nil {
-		return nil, err
-	}
-	c, err := memfs.DialClient("tcp", srv.Addr())
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	rc, err := rpcnet.Dial("tcp", srv.Addr(), nfsproto.Program, nfsproto.Version3)
-	if err != nil {
-		c.Close()
-		srv.Close()
-		return nil, err
-	}
-	fh, _, err := c.Lookup(memfs.RootFH, "data")
-	if err != nil {
-		rc.Close()
-		c.Close()
-		srv.Close()
-		return nil, err
-	}
-	return &allocProfileEnv{fs: fs, srv: srv, c: c, rc: rc, fh: fh}, nil
-}
-
-func (e *allocProfileEnv) close() {
-	e.rc.Close()
-	e.c.Close()
-	e.srv.Close()
+	return withLive(fs, nfsd.Config{}, rpcnet.ServerOptions{}, nil, func(l *live) error {
+		rc, err := rpcnet.Dial("tcp", l.srv.Addr(), nfsproto.Program, nfsproto.Version3)
+		if err != nil {
+			return err
+		}
+		defer rc.Close()
+		fh, _, err := l.c.Lookup(memfs.RootFH, "data")
+		if err != nil {
+			return err
+		}
+		return body(l.c, rc, fh)
+	})
 }
 
 // AllocProfile measures allocator traffic per live RPC — allocs/op and
@@ -103,84 +78,69 @@ func AllocProfile(p Params) (*Result, error) {
 		XLabel: "bytes", YLabel: "allocs/op and KB/op",
 		X: allocSizes,
 	}
-	type metric struct {
-		label  string
-		sample func(env *allocProfileEnv, size int) (float64, float64, error)
-	}
-	read := func(env *allocProfileEnv, size int) (float64, float64, error) {
-		return allocMeasure(allocOpsPerSample, func() error {
-			_, _, err := env.c.Read(env.fh, 0, uint32(size))
-			return err
-		})
-	}
-	write := func(env *allocProfileEnv, size int) (float64, float64, error) {
-		block := make([]byte, size)
-		var off uint64
-		return allocMeasure(allocOpsPerSample, func() error {
-			// Appends, so the store's copy-on-write arm (whole-segment
-			// copy on overlap) does not drown the wire-path signal.
-			err := env.c.Write(env.fh, uint64(nfsproto.MaxData)+off, block)
-			off += uint64(size)
-			return err
-		})
-	}
-	for _, m := range []metric{{"READ", read}, {"WRITE", write}} {
-		allocsSeries := Series{Label: m.label + " allocs/op", Better: BetterLower}
-		bytesSeries := Series{Label: m.label + " KB/op", Better: BetterLower}
-		for _, size := range allocSizes {
-			var allocsRuns, bytesRuns []float64
-			for run := 0; run < p.Runs; run++ {
-				env, err := newAllocProfileEnv()
-				if err != nil {
-					return nil, fmt.Errorf("alloc-profile: %w", err)
-				}
-				a, b, err := m.sample(env, size)
-				env.close()
-				if err != nil {
-					return nil, fmt.Errorf("alloc-profile %s size=%d: %w", m.label, size, err)
-				}
-				allocsRuns = append(allocsRuns, a)
-				bytesRuns = append(bytesRuns, b/1024)
+	g := newGrid(r).series(BetterLower, "READ allocs/op", "READ KB/op", "WRITE allocs/op", "WRITE KB/op")
+	err := sweep(p, g, r.X, []string{"READ", "WRITE"}, ident, func(proc string, pt point) error {
+		return withAllocEnv(func(c *memfs.Client, _ *rpcnet.Client, fh nfsproto.FH) error {
+			op := func() error {
+				_, _, err := c.Read(fh, 0, uint32(pt.x))
+				return err
 			}
-			allocsSeries.Samples = append(allocsSeries.Samples, stats.Summarize(allocsRuns))
-			bytesSeries.Samples = append(bytesSeries.Samples, stats.Summarize(bytesRuns))
-		}
-		r.Series = append(r.Series, allocsSeries, bytesSeries)
+			if proc == "WRITE" {
+				block := make([]byte, pt.x)
+				var off uint64
+				op = func() error {
+					// Appends, so the store's copy-on-write arm (whole-segment
+					// copy on overlap) does not drown the wire-path signal.
+					err := c.Write(fh, uint64(nfsproto.MaxData)+off, block)
+					off += uint64(pt.x)
+					return err
+				}
+			}
+			a, b, err := allocMeasure(allocOpsPerSample, op)
+			if err != nil {
+				return err
+			}
+			pt.put(proc+" allocs/op", a)
+			pt.put(proc+" KB/op", b/1024)
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Fixed-size procedures, one line each in the notes.
-	env, err := newAllocProfileEnv()
-	if err != nil {
-		return nil, fmt.Errorf("alloc-profile: %w", err)
-	}
-	defer env.close()
-	for _, fixed := range []struct {
-		name string
-		op   func() error
-	}{
-		{"NULL", func() error {
-			_, err := env.rc.Call(nfsproto.ProcNull, nil)
-			return err
-		}},
-		{"GETATTR", func() error {
-			_, err := env.rc.Call(nfsproto.ProcGetattr,
-				(&nfsproto.GetattrArgs{FH: env.fh}).Marshal())
-			return err
-		}},
-		{"LOOKUP", func() error {
-			_, _, err := env.c.Lookup(memfs.RootFH, "data")
-			return err
-		}},
-	} {
-		a, b, err := allocMeasure(allocOpsPerSample, fixed.op)
-		if err != nil {
-			return nil, fmt.Errorf("alloc-profile %s: %w", fixed.name, err)
+	err = withAllocEnv(func(c *memfs.Client, rc *rpcnet.Client, fh nfsproto.FH) error {
+		for _, fixed := range []struct {
+			name string
+			op   func() error
+		}{
+			{"NULL", func() error {
+				_, err := rc.Call(nfsproto.ProcNull, nil)
+				return err
+			}},
+			{"GETATTR", func() error {
+				_, err := rc.Call(nfsproto.ProcGetattr, (&nfsproto.GetattrArgs{FH: fh}).Marshal())
+				return err
+			}},
+			{"LOOKUP", func() error {
+				_, _, err := c.Lookup(memfs.RootFH, "data")
+				return err
+			}},
+		} {
+			a, b, err := allocMeasure(allocOpsPerSample, fixed.op)
+			if err != nil {
+				return fmt.Errorf("%s: %w", fixed.name, err)
+			}
+			r.Notes = append(r.Notes, fmt.Sprintf("%s: %.1f allocs/op, %.0f B/op", fixed.name, a, b))
 		}
-		r.Notes = append(r.Notes,
-			fmt.Sprintf("%s: %.1f allocs/op, %.0f B/op", fixed.name, a, b))
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("alloc-profile %w", err)
 	}
 	r.Notes = append(r.Notes,
 		"whole-process allocator deltas (client+server share the process); READ B/op ≈ one reply-body copy",
 		"WRITE uses appends; overlapping writes add a copy-on-write segment copy by design")
-	return r, nil
+	return g.result(), nil
 }

@@ -13,13 +13,12 @@ func TestAllocProfileShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series) != 4 {
-		t.Fatalf("got %d series, want 4", len(r.Series))
-	}
+	checkShape(t, r, shape{
+		"alloc-profile", "Allocator traffic per live RPC (loopback TCP)", "bytes", "allocs/op and KB/op",
+		[]int{512, 8192, 32768},
+		[][2]string{{"READ allocs/op", "lower"}, {"READ KB/op", "lower"}, {"WRITE allocs/op", "lower"}, {"WRITE KB/op", "lower"}},
+	})
 	for _, s := range r.Series {
-		if len(s.Samples) != len(allocSizes) {
-			t.Fatalf("series %s has %d samples, want %d", s.Label, len(s.Samples), len(allocSizes))
-		}
 		for i, smp := range s.Samples {
 			if smp.Mean <= 0 {
 				t.Fatalf("series %s x=%d mean %.3f", s.Label, allocSizes[i], smp.Mean)

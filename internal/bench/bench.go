@@ -5,9 +5,11 @@
 // table (Figures 6-7), and the stride/cursor results (Figure 8,
 // Table 1) — plus ablations for the design choices DESIGN.md calls out.
 //
-// Each experiment runs its benchmark repeatedly (the paper averages at
-// least ten runs), on a fresh seeded testbed per run, and reports
-// mean/stddev per cell.
+// Each experiment declares its cells and a measure function; one sweep
+// (sweep.go) runs them repeatedly (the paper averages at least ten
+// runs), interleaving the cells within each run, discarding a warm-up
+// call and profiling on request, on a fresh seeded testbed or live
+// server per measurement, and reports mean/stddev per cell.
 package bench
 
 import (
@@ -27,9 +29,9 @@ type Params struct {
 	Scale int
 	// Seed is the base random seed; run i of a cell uses Seed+i.
 	Seed int64
-	// ProfileDir, when set, makes the live experiments capture a CPU
-	// profile of one representative run per cell, written as
-	// <ProfileDir>/<experiment>_<cell>.cpu.pprof.
+	// ProfileDir, when set, makes every experiment capture a CPU
+	// profile of run 0 of each cell at each X, written as
+	// <ProfileDir>/<experiment>_<cell>_x<x>.cpu.pprof.
 	ProfileDir string
 }
 

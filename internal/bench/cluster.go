@@ -24,8 +24,8 @@ const (
 	// tenants, open-loop.
 	clusterAmpLow  = 4
 	clusterAmpHigh = 16
-	// clusterKneeGain is the marginal speedup below which a shard
-	// doubling is declared to have hit the coordination knee.
+	// clusterKneeGain is the marginal speedup a shard doubling must
+	// fall short of, beyond noise, to be named the coordination knee.
 	clusterKneeGain = 1.15
 	// clusterUDPWindow caps per-stream inflight for the UDP cells;
 	// loopback datagram buffers overflow long before TCP backpressure
@@ -161,137 +161,124 @@ func clusterBalance(env *clusterEnv) string {
 // never errored.
 func ClusterScale(p Params) (*Result, error) {
 	p.fill()
-	perStream := traceReplayBytes / p.Scale
-	if perStream < 64*1024 {
-		perStream = 64 * 1024
-	}
+	perStream := max(traceReplayBytes/p.Scale, 64*1024)
 	r := &Result{
 		ID: "cluster-scale", Title: "Scale-out: shard count vs amplified open-loop replay",
 		XLabel: "shards", YLabel: "ops/s, p99 latency (µs)",
 		X: clusterShardCounts,
 	}
-
-	type cellKey struct {
-		shards int
-		label  string
-	}
-	cells := make(map[cellKey][]float64)
-	add := func(n int, label string, v float64) {
-		k := cellKey{n, label}
-		cells[k] = append(cells[k], v)
-	}
-	labels := []struct {
-		name   string
-		better string
-	}{
-		{fmt.Sprintf("ops/s tcp amp=%d", clusterAmpLow), BetterHigher},
-		{fmt.Sprintf("ops/s tcp amp=%d", clusterAmpHigh), BetterHigher},
-		{fmt.Sprintf("ops/s udp amp=%d", clusterAmpLow), BetterHigher},
-		{fmt.Sprintf("p99 µs tcp amp=%d", clusterAmpHigh), BetterLower},
-	}
+	highLabel := fmt.Sprintf("ops/s tcp amp=%d", clusterAmpHigh)
+	p99Label := fmt.Sprintf("p99 µs tcp amp=%d", clusterAmpHigh)
+	g := newGrid(r).series(BetterHigher, fmt.Sprintf("ops/s tcp amp=%d", clusterAmpLow), highLabel,
+		fmt.Sprintf("ops/s udp amp=%d", clusterAmpLow)).series(BetterLower, p99Label)
 
 	var udpErrs, udpOps int64
 	var churnRedirects, churnRefreshes, churnMigrated int64
 	var churnRuns int
 	balance := ""
-	for run := 0; run < p.Runs; run++ {
-		recs, _, err := captureWorkload(perStream)
+	caps := newCaptures(perStream)
+	// One cell per shard count: the three replays share its cluster.
+	err := sweep(p, g, r.X, []string{"replay"}, ident, func(_ string, pt point) error {
+		recs, err := caps.of(pt.run)
 		if err != nil {
-			return nil, fmt.Errorf("cluster-scale capture: %w", err)
+			return err
 		}
-		if len(recs) == 0 {
-			return nil, fmt.Errorf("cluster-scale: empty capture")
+		env, err := newClusterEnv(pt.x, clusterAmpHigh, perStream)
+		if err != nil {
+			return err
 		}
-		for _, n := range clusterShardCounts {
-			env, err := newClusterEnv(n, clusterAmpHigh, perStream)
+		defer env.Close()
+		for _, cell := range []struct {
+			network string
+			amp     int
+		}{
+			{"tcp", clusterAmpLow}, {"tcp", clusterAmpHigh}, {"udp", clusterAmpLow},
+		} {
+			st, err := replay.Run(recs, env.clusterReplayOpts(cell.network, cell.amp))
 			if err != nil {
-				return nil, fmt.Errorf("cluster-scale shards=%d: %w", n, err)
+				return fmt.Errorf("%s amp=%d: %w", cell.network, cell.amp, err)
 			}
-			for _, cell := range []struct {
-				network string
-				amp     int
-			}{
-				{"tcp", clusterAmpLow}, {"tcp", clusterAmpHigh}, {"udp", clusterAmpLow},
-			} {
-				st, err := replay.Run(recs, env.clusterReplayOpts(cell.network, cell.amp))
-				if err != nil {
-					env.Close()
-					return nil, fmt.Errorf("cluster-scale shards=%d %s amp=%d: %w", n, cell.network, cell.amp, err)
+			if cell.network == "udp" {
+				// Datagrams are allowed to drop (that is the trap the
+				// transport axis exists to show) but not wholesale.
+				if st.Errors*100 > st.Ops {
+					return fmt.Errorf("udp: %d/%d ops lost", st.Errors, st.Ops)
 				}
-				if cell.network == "udp" {
-					// Datagrams are allowed to drop (that is the trap the
-					// transport axis exists to show) but not wholesale.
+				if !pt.warm() {
 					udpErrs += st.Errors
 					udpOps += st.Ops
-					if st.Errors*100 > st.Ops {
-						env.Close()
-						return nil, fmt.Errorf("cluster-scale shards=%d udp: %d/%d ops lost", n, st.Errors, st.Ops)
-					}
-				} else if st.Errors > 0 || st.NFSErrors > 0 {
-					env.Close()
-					return nil, fmt.Errorf("cluster-scale shards=%d %s amp=%d: %d transport / %d NFS errors",
-						n, cell.network, cell.amp, st.Errors, st.NFSErrors)
 				}
-				add(n, fmt.Sprintf("ops/s %s amp=%d", cell.network, cell.amp), st.OpsPerSec)
-				if cell.network == "tcp" && cell.amp == clusterAmpHigh {
-					add(n, fmt.Sprintf("p99 µs tcp amp=%d", clusterAmpHigh), float64(st.P99.Microseconds()))
-				}
+			} else if st.Errors > 0 || st.NFSErrors > 0 {
+				return fmt.Errorf("%s amp=%d: %d transport / %d NFS errors", cell.network, cell.amp, st.Errors, st.NFSErrors)
 			}
-			if n == clusterChurnShards {
-				balance = clusterBalance(env)
-				red, ref, mig, err := clusterChurn(env, recs)
-				if err != nil {
-					env.Close()
-					return nil, err
-				}
-				churnRedirects += red
-				churnRefreshes += ref
-				churnMigrated += mig
-				churnRuns++
+			pt.put(fmt.Sprintf("ops/s %s amp=%d", cell.network, cell.amp), st.OpsPerSec)
+			if cell.network == "tcp" && cell.amp == clusterAmpHigh {
+				pt.put(p99Label, float64(st.P99.Microseconds()))
 			}
-			env.Close()
 		}
-	}
-
-	for _, l := range labels {
-		s := Series{Label: l.name, Better: l.better}
-		for _, n := range clusterShardCounts {
-			s.Samples = append(s.Samples, stats.Summarize(cells[cellKey{n, l.name}]))
+		if pt.x != clusterChurnShards || pt.warm() {
+			return nil
 		}
-		r.Series = append(r.Series, s)
+		balance = clusterBalance(env)
+		red, ref, mig, err := clusterChurn(env, recs)
+		if err != nil {
+			return err
+		}
+		churnRedirects += red
+		churnRefreshes += ref
+		churnMigrated += mig
+		churnRuns++
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// The headline and the negative result, from the high-pressure TCP
-	// series: speedup at each doubling, and the first doubling whose
-	// marginal gain falls under the knee threshold.
-	highLabel := fmt.Sprintf("ops/s tcp amp=%d", clusterAmpHigh)
-	mean := func(n int) float64 { return stats.Summarize(cells[cellKey{n, highLabel}]).Mean }
-	if base := mean(clusterShardCounts[0]); base > 0 {
+	// series: speedup at each doubling, and the knee if the runs show one.
+	high := g.vals[highLabel]
+	mean := func(xi int) float64 { return stats.Summarize(high[xi]).Mean }
+	if base := mean(0); base > 0 {
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"amp=%d tcp speedup vs 1 shard: 2→%.2f×, 4→%.2f×, 8→%.2f×",
-			clusterAmpHigh, mean(2)/base, mean(4)/base, mean(8)/base))
-		knee := ""
-		for i := 1; i < len(clusterShardCounts); i++ {
-			prev, cur := mean(clusterShardCounts[i-1]), mean(clusterShardCounts[i])
-			if prev > 0 && cur/prev < clusterKneeGain {
-				knee = fmt.Sprintf(
-					"coordination knee at %d→%d shards: marginal gain %.2f× (< %.2f×) — map refresh, redirect chasing and per-shard sockets stop paying for themselves",
-					clusterShardCounts[i-1], clusterShardCounts[i], cur/prev, clusterKneeGain)
-				break
-			}
-		}
-		if knee == "" {
-			knee = fmt.Sprintf("no coordination knee up to %d shards (every doubling gained ≥%.2f×) at this scale — rerun at lower -scale to find it",
-				clusterShardCounts[len(clusterShardCounts)-1], clusterKneeGain)
-		}
-		r.Notes = append(r.Notes, knee)
+			clusterAmpHigh, mean(1)/base, mean(2)/base, mean(3)/base),
+			clusterKnee(clusterShardCounts, high))
 	}
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("per-shard executed at %d shards (merged shard-labeled registries): %s", clusterChurnShards, balance),
 		fmt.Sprintf("drain mid-replay (%d shards, faithful timing, %d runs): 0 failed ops; %d redirects, %d map refreshes, %d files migrated",
 			clusterChurnShards, churnRuns, churnRedirects, churnRefreshes, churnMigrated),
 		fmt.Sprintf("udp cells: %d/%d datagrams lost (open-loop window %d)", udpErrs, udpOps, clusterUDPWindow))
-	return r, nil
+	return g.result(), nil
+}
+
+// clusterKnee names the coordination knee from the runs at each shard
+// count: the first doubling whose runs fall short of clusterKneeGain ×
+// the previous count's runs beyond noise (Mann-Whitney at compare's
+// default alpha), provided every earlier doubling cleared that gain
+// beyond noise. When every doubling clears it there is no knee; when a
+// doubling is within noise of it the runs cannot tell, and the note
+// says so rather than name a knee that moves from run to run.
+func clusterKnee(counts []int, runs [][]float64) string {
+	for i := 1; i < len(counts); i++ {
+		want := make([]float64, len(runs[i-1]))
+		for j, v := range runs[i-1] {
+			want[j] = v * clusterKneeGain
+		}
+		_, pval := stats.MannWhitney(runs[i], want)
+		gain := stats.Median(runs[i]) / stats.Median(runs[i-1])
+		switch {
+		case pval >= defaultAlpha:
+			return fmt.Sprintf("knee unresolved at runs=%d: %d→%d shards gained %.2f×, not separable from %.2f× (Mann-Whitney p=%.2f)",
+				len(runs[i]), counts[i-1], counts[i], gain, clusterKneeGain, pval)
+		case stats.Median(runs[i]) < stats.Median(want):
+			return fmt.Sprintf(
+				"coordination knee at %d→%d shards: marginal gain %.2f× (< %.2f×, p=%.2f) — map refresh, redirect chasing and per-shard sockets stop paying for themselves",
+				counts[i-1], counts[i], gain, clusterKneeGain, pval)
+		}
+	}
+	return fmt.Sprintf("no coordination knee up to %d shards (every doubling gained more than %.2f× beyond noise) at this scale — rerun at lower -scale to find it",
+		counts[len(counts)-1], clusterKneeGain)
 }
 
 // clusterChurn replays the trace at faithful timing while draining one

@@ -18,13 +18,12 @@ func TestClusterScaleEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.X) != len(clusterShardCounts) {
-		t.Fatalf("X = %v", r.X)
-	}
+	checkShape(t, r, shape{
+		"cluster-scale", "Scale-out: shard count vs amplified open-loop replay", "shards", "ops/s, p99 latency (µs)",
+		[]int{1, 2, 4, 8},
+		[][2]string{{"ops/s tcp amp=4", "higher"}, {"ops/s tcp amp=16", "higher"}, {"ops/s udp amp=4", "higher"}, {"p99 µs tcp amp=16", "lower"}},
+	})
 	for _, s := range r.Series {
-		if len(s.Samples) != len(r.X) {
-			t.Fatalf("series %q has %d samples for %d cells", s.Label, len(s.Samples), len(r.X))
-		}
 		for i, sm := range s.Samples {
 			if sm.Mean <= 0 {
 				t.Fatalf("series %q cell %d: mean %.2f", s.Label, r.X[i], sm.Mean)

@@ -42,9 +42,12 @@ type CompareOptions struct {
 	Seed int64
 }
 
+// defaultAlpha is compare's significance level when none is given.
+const defaultAlpha = 0.05
+
 func (o CompareOptions) filled() CompareOptions {
 	if o.Alpha <= 0 {
-		o.Alpha = 0.05
+		o.Alpha = defaultAlpha
 	}
 	if o.Confidence <= 0 || o.Confidence >= 1 {
 		o.Confidence = 0.95

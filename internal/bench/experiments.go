@@ -1,24 +1,15 @@
 package bench
 
 import (
-	"fmt"
 	"sort"
-	"time"
 
 	"nfstricks/internal/nfsclient"
 	"nfstricks/internal/nfsheur"
 	"nfstricks/internal/nfsserver"
 	"nfstricks/internal/readahead"
-	"nfstricks/internal/stats"
 	"nfstricks/internal/testbed"
 	"nfstricks/internal/workload"
 )
-
-// cell identifies one testbed configuration to sweep.
-type cell struct {
-	label string
-	opts  testbed.Options
-}
 
 // heuristicByName builds a fresh heuristic (cursor heuristics carry
 // state and must not be shared between testbeds).
@@ -35,124 +26,41 @@ func heuristicByName(name string) readahead.Heuristic {
 	}
 }
 
-// runLocalCell measures local-read throughput for n concurrent readers,
-// averaged over p.Runs fresh testbeds.
-func runLocalCell(c cell, n int, p Params) (stats.Sample, error) {
-	var xs []float64
-	for run := 0; run < p.Runs; run++ {
-		opts := c.opts
-		opts.Seed = p.Seed + int64(run)
-		tb, err := testbed.New(opts)
-		if err != nil {
-			return stats.Sample{}, err
-		}
-		if err := workload.CreateFileSet(tb.FS, p.Scale); err != nil {
-			return stats.Sample{}, err
-		}
-		res, err := workload.RunLocalReaders(tb, workload.FilesFor(n))
-		tb.K.Shutdown()
-		if err != nil {
-			return stats.Sample{}, fmt.Errorf("%s n=%d: %w", c.label, n, err)
-		}
-		xs = append(xs, res.ThroughputMBps())
-	}
-	return stats.Summarize(xs), nil
-}
-
-// runNFSCell measures NFS throughput for n concurrent readers. The
-// server heuristic is instantiated per run from heuristicName.
-func runNFSCell(c cell, heuristicName string, n int, p Params) (stats.Sample, error) {
-	var xs []float64
-	for run := 0; run < p.Runs; run++ {
-		opts := c.opts
-		opts.Seed = p.Seed + int64(run)
-		opts.Server.Heuristic = heuristicByName(heuristicName)
-		tb, err := testbed.New(opts)
-		if err != nil {
-			return stats.Sample{}, err
-		}
-		if err := workload.CreateFileSet(tb.FS, p.Scale); err != nil {
-			return stats.Sample{}, err
-		}
-		if err := tb.Start(); err != nil {
-			return stats.Sample{}, err
-		}
-		res, err := workload.RunNFSReaders(tb, workload.FilesFor(n))
-		tb.K.Shutdown()
-		if err != nil {
-			return stats.Sample{}, fmt.Errorf("%s n=%d: %w", c.label, n, err)
-		}
-		xs = append(xs, res.ThroughputMBps())
-	}
-	return stats.Summarize(xs), nil
-}
-
-// sweepLocal runs a local-read reader-count sweep for several cells.
-func sweepLocal(id, title string, cells []cell, p Params) (*Result, error) {
-	p.fill()
+// readersSweep is the reader-count sweep of Figures 1-2 and 4-7: every
+// cell's throughput for n concurrent readers, locally or over NFS.
+func readersSweep(p Params, id, title string, nfs bool, cells []simCell) (*Result, error) {
 	r := &Result{
 		ID: id, Title: title,
 		XLabel: "readers", YLabel: "throughput (MB/s)",
 		X: workload.ReaderCounts,
 	}
-	for _, c := range cells {
-		s := Series{Label: c.label}
-		for _, n := range workload.ReaderCounts {
-			sample, err := runLocalCell(c, n, p)
-			if err != nil {
-				return nil, err
-			}
-			s.Samples = append(s.Samples, sample)
-		}
-		r.Series = append(r.Series, s)
-	}
-	return r, nil
-}
-
-// sweepNFS runs an NFS reader-count sweep for several cells.
-func sweepNFS(id, title string, cells []cell, heuristicName string, p Params) (*Result, error) {
-	p.fill()
-	r := &Result{
-		ID: id, Title: title,
-		XLabel: "readers", YLabel: "throughput (MB/s)",
-		X: workload.ReaderCounts,
-	}
-	for _, c := range cells {
-		s := Series{Label: c.label}
-		for _, n := range workload.ReaderCounts {
-			sample, err := runNFSCell(c, heuristicName, n, p)
-			if err != nil {
-				return nil, err
-			}
-			s.Samples = append(s.Samples, sample)
-		}
-		r.Series = append(r.Series, s)
-	}
-	return r, nil
+	return simSweep(p, r, cells, func(c simCell, n int) (testbed.Options, simWork) {
+		return c.options(), simWork{nfs: nfs, readers: n}
+	})
 }
 
 // Fig1 reproduces Figure 1: the ZCAV effect. The same local benchmark
 // on the outermost (1) and innermost (4) quarter partitions of both
 // drives; outer partitions transfer faster.
 func Fig1(p Params) (*Result, error) {
-	return sweepLocal("fig1", "The ZCAV Effect on Local Drives", []cell{
-		{"ide1", testbed.Options{Disk: testbed.IDE, Partition: 1}},
-		{"ide4", testbed.Options{Disk: testbed.IDE, Partition: 4}},
-		{"scsi1", testbed.Options{Disk: testbed.SCSI, Partition: 1}},
-		{"scsi4", testbed.Options{Disk: testbed.SCSI, Partition: 4}},
-	}, p)
+	return readersSweep(p, "fig1", "The ZCAV Effect on Local Drives", false, []simCell{
+		{label: "ide1", opts: testbed.Options{Disk: testbed.IDE, Partition: 1}},
+		{label: "ide4", opts: testbed.Options{Disk: testbed.IDE, Partition: 4}},
+		{label: "scsi1", opts: testbed.Options{Disk: testbed.SCSI, Partition: 1}},
+		{label: "scsi4", opts: testbed.Options{Disk: testbed.SCSI, Partition: 4}},
+	})
 }
 
 // Fig2 reproduces Figure 2: tagged command queues on the SCSI drive.
 // Disabling TCQ hands scheduling back to the host elevator, which
 // serves long sequential runs and wins for this workload.
 func Fig2(p Params) (*Result, error) {
-	return sweepLocal("fig2", "Tagged Queues and ZCAV - Local SCSI Drive", []cell{
-		{"scsi1/no tags", testbed.Options{Disk: testbed.SCSI, Partition: 1, DisableTCQ: true}},
-		{"scsi4/no tags", testbed.Options{Disk: testbed.SCSI, Partition: 4, DisableTCQ: true}},
-		{"scsi1/tags", testbed.Options{Disk: testbed.SCSI, Partition: 1}},
-		{"scsi4/tags", testbed.Options{Disk: testbed.SCSI, Partition: 4}},
-	}, p)
+	return readersSweep(p, "fig2", "Tagged Queues and ZCAV - Local SCSI Drive", false, []simCell{
+		{label: "scsi1/no tags", opts: testbed.Options{Disk: testbed.SCSI, Partition: 1, DisableTCQ: true}},
+		{label: "scsi4/no tags", opts: testbed.Options{Disk: testbed.SCSI, Partition: 4, DisableTCQ: true}},
+		{label: "scsi1/tags", opts: testbed.Options{Disk: testbed.SCSI, Partition: 1}},
+		{label: "scsi4/tags", opts: testbed.Options{Disk: testbed.SCSI, Partition: 4}},
+	})
 }
 
 // Fig3 reproduces Figure 3: the completion-time distribution of eight
@@ -161,75 +69,59 @@ func Fig2(p Params) (*Result, error) {
 // completed" (1..8); Y is the mean time by which k processes finished.
 func Fig3(p Params) (*Result, error) {
 	p.fill()
-	cells := []cell{
-		{"scsi1/elev/no tags", testbed.Options{Disk: testbed.SCSI, Scheduler: "elevator", DisableTCQ: true}},
-		{"ide1/elev", testbed.Options{Disk: testbed.IDE, Scheduler: "elevator"}},
-		{"scsi1/elev/tags", testbed.Options{Disk: testbed.SCSI, Scheduler: "elevator"}},
-		{"scsi1/ncscan/tags", testbed.Options{Disk: testbed.SCSI, Scheduler: "ncscan"}},
-		{"scsi1/ncscan/no tags", testbed.Options{Disk: testbed.SCSI, Scheduler: "ncscan", DisableTCQ: true}},
-		{"ide1/ncscan", testbed.Options{Disk: testbed.IDE, Scheduler: "ncscan"}},
+	cells := []simCell{
+		{label: "scsi1/elev/no tags", opts: testbed.Options{Disk: testbed.SCSI, Scheduler: "elevator", DisableTCQ: true}},
+		{label: "ide1/elev", opts: testbed.Options{Disk: testbed.IDE, Scheduler: "elevator"}},
+		{label: "scsi1/elev/tags", opts: testbed.Options{Disk: testbed.SCSI, Scheduler: "elevator"}},
+		{label: "scsi1/ncscan/tags", opts: testbed.Options{Disk: testbed.SCSI, Scheduler: "ncscan"}},
+		{label: "scsi1/ncscan/no tags", opts: testbed.Options{Disk: testbed.SCSI, Scheduler: "ncscan", DisableTCQ: true}},
+		{label: "ide1/ncscan", opts: testbed.Options{Disk: testbed.IDE, Scheduler: "ncscan"}},
 	}
 	const readers = 8
 	r := &Result{
 		ID: "fig3", Title: "Scheduler fairness: 8 concurrent 32 MB readers",
 		XLabel: "completed", YLabel: "time to completion (s)",
+		X: []int{1, 2, 3, 4, 5, 6, 7, 8},
 	}
-	for k := 1; k <= readers; k++ {
-		r.X = append(r.X, k)
-	}
+	g := newGrid(r)
 	for _, c := range cells {
-		perK := make([][]float64, readers)
-		for run := 0; run < p.Runs; run++ {
-			opts := c.opts
-			opts.Seed = p.Seed + int64(run)
-			tb, err := testbed.New(opts)
-			if err != nil {
-				return nil, err
-			}
-			if err := workload.CreateFileSet(tb.FS, p.Scale); err != nil {
-				return nil, err
-			}
-			res, err := workload.RunLocalReaders(tb, workload.FilesFor(readers))
-			tb.K.Shutdown()
-			if err != nil {
-				return nil, err
-			}
-			times := append([]float64(nil), durationsToSeconds(res.PerReader)...)
-			sort.Float64s(times)
-			for k := 0; k < readers; k++ {
-				perK[k] = append(perK[k], times[k])
-			}
+		g.series(BetterLower, c.label) // completion time
+	}
+	// One run yields every X: the k-th fastest reader's finish time.
+	err := sweep(p, g, []int{readers}, cells, simCell.name, func(c simCell, pt point) error {
+		res, err := simRun(c.opts, pt.run, p, simWork{readers: readers})
+		if err != nil {
+			return err
 		}
-		s := Series{Label: c.label, Better: BetterLower} // completion time
-		for k := 0; k < readers; k++ {
-			s.Samples = append(s.Samples, stats.Summarize(perK[k]))
+		times := make([]float64, len(res.PerReader))
+		for i, d := range res.PerReader {
+			times[i] = d.Seconds()
 		}
-		r.Series = append(r.Series, s)
+		sort.Float64s(times)
+		for k, t := range times {
+			pt.putAt(c.label, k, t)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	r.Notes = append(r.Notes,
 		"elevator: staircase distribution (last reader ~6-7x the first); ncscan: flat but slow")
-	return r, nil
-}
-
-func durationsToSeconds(ds []time.Duration) []float64 {
-	out := make([]float64, len(ds))
-	for i, d := range ds {
-		out[i] = d.Seconds()
-	}
-	return out
+	return g.result(), nil
 }
 
 // Fig4 reproduces Figure 4: NFS over UDP with the stock server (default
 // heuristic, FreeBSD 4.x nfsheur table), on all four partitions, plus
 // the no-tagged-queue SCSI variant.
 func Fig4(p Params) (*Result, error) {
-	r, err := sweepNFS("fig4", "NFS over UDP", []cell{
-		{"ide1", testbed.Options{Disk: testbed.IDE, Partition: 1}},
-		{"ide4", testbed.Options{Disk: testbed.IDE, Partition: 4}},
-		{"scsi1", testbed.Options{Disk: testbed.SCSI, Partition: 1}},
-		{"scsi4", testbed.Options{Disk: testbed.SCSI, Partition: 4}},
-		{"scsi1/no tags", testbed.Options{Disk: testbed.SCSI, Partition: 1, DisableTCQ: true}},
-	}, "default", p)
+	r, err := readersSweep(p, "fig4", "NFS over UDP", true, []simCell{
+		{label: "ide1", opts: testbed.Options{Disk: testbed.IDE, Partition: 1}},
+		{label: "ide4", opts: testbed.Options{Disk: testbed.IDE, Partition: 4}},
+		{label: "scsi1", opts: testbed.Options{Disk: testbed.SCSI, Partition: 1}},
+		{label: "scsi4", opts: testbed.Options{Disk: testbed.SCSI, Partition: 4}},
+		{label: "scsi1/no tags", opts: testbed.Options{Disk: testbed.SCSI, Partition: 1, DisableTCQ: true}},
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -241,49 +133,27 @@ func Fig4(p Params) (*Result, error) {
 // flatter across reader counts but starts lower than UDP.
 func Fig5(p Params) (*Result, error) {
 	tcp := nfsclient.Config{UseTCP: true}
-	return sweepNFS("fig5", "NFS over TCP", []cell{
-		{"ide1", testbed.Options{Disk: testbed.IDE, Partition: 1, Client: tcp}},
-		{"ide4", testbed.Options{Disk: testbed.IDE, Partition: 4, Client: tcp}},
-		{"scsi1", testbed.Options{Disk: testbed.SCSI, Partition: 1, Client: tcp}},
-		{"scsi4", testbed.Options{Disk: testbed.SCSI, Partition: 4, Client: tcp}},
-		{"scsi1/no tags", testbed.Options{Disk: testbed.SCSI, Partition: 1, Client: tcp, DisableTCQ: true}},
-	}, "default", p)
+	return readersSweep(p, "fig5", "NFS over TCP", true, []simCell{
+		{label: "ide1", opts: testbed.Options{Disk: testbed.IDE, Partition: 1, Client: tcp}},
+		{label: "ide4", opts: testbed.Options{Disk: testbed.IDE, Partition: 4, Client: tcp}},
+		{label: "scsi1", opts: testbed.Options{Disk: testbed.SCSI, Partition: 1, Client: tcp}},
+		{label: "scsi4", opts: testbed.Options{Disk: testbed.SCSI, Partition: 4, Client: tcp}},
+		{label: "scsi1/no tags", opts: testbed.Options{Disk: testbed.SCSI, Partition: 1, Client: tcp, DisableTCQ: true}},
+	})
 }
 
 // Fig6 reproduces Figure 6: the potential of read-ahead. Default vs
 // hard-wired Always Read-ahead on ide1 over UDP, with an idle client
 // and with a client running four infinite-loop processes.
 func Fig6(p Params) (*Result, error) {
-	p.fill()
-	mk := func(busy int) testbed.Options {
-		return testbed.Options{Disk: testbed.IDE, Partition: 1, BusyProcs: busy}
-	}
-	r := &Result{
-		ID: "fig6", Title: "ide1 via NFS over UDP: idle vs busy client",
-		XLabel: "readers", YLabel: "throughput (MB/s)",
-		X: workload.ReaderCounts,
-	}
-	for _, cfg := range []struct {
-		label     string
-		heuristic string
-		busy      int
-	}{
-		{"idle/always", "always", 0},
-		{"idle/default", "default", 0},
-		{"busy/always", "always", 4},
-		{"busy/default", "default", 4},
-	} {
-		s := Series{Label: cfg.label}
-		for _, n := range workload.ReaderCounts {
-			sample, err := runNFSCell(cell{cfg.label, mk(cfg.busy)}, cfg.heuristic, n, p)
-			if err != nil {
-				return nil, err
-			}
-			s.Samples = append(s.Samples, sample)
-		}
-		r.Series = append(r.Series, s)
-	}
-	return r, nil
+	idle := testbed.Options{Disk: testbed.IDE, Partition: 1}
+	busy := testbed.Options{Disk: testbed.IDE, Partition: 1, BusyProcs: 4}
+	return readersSweep(p, "fig6", "ide1 via NFS over UDP: idle vs busy client", true, []simCell{
+		{"idle/always", "always", idle},
+		{"idle/default", "default", idle},
+		{"busy/always", "always", busy},
+		{"busy/default", "default", busy},
+	})
 }
 
 // Fig7 reproduces Figure 7: SlowDown and the enlarged nfsheur table on
@@ -291,114 +161,60 @@ func Fig6(p Params) (*Result, error) {
 // heuristic match Always Read-ahead; with the 4.x table, state is
 // ejected and read-ahead collapses as readers grow.
 func Fig7(p Params) (*Result, error) {
-	p.fill()
 	mk := func(table nfsheur.Params) testbed.Options {
 		return testbed.Options{
 			Disk: testbed.IDE, Partition: 1, BusyProcs: 4,
 			Server: nfsserver.Config{Table: table},
 		}
 	}
-	r := &Result{
-		ID: "fig7", Title: "ide1 via NFS over UDP, busy client: heuristics and nfsheur",
-		XLabel: "readers", YLabel: "throughput (MB/s)",
-		X: workload.ReaderCounts,
-	}
-	for _, cfg := range []struct {
-		label     string
-		heuristic string
-		table     nfsheur.Params
-	}{
-		{"always", "always", nfsheur.ImprovedParams()},
-		{"slowdown/new nfsheur", "slowdown", nfsheur.ImprovedParams()},
-		{"default/new nfsheur", "default", nfsheur.ImprovedParams()},
-		{"default/default nfsheur", "default", nfsheur.DefaultParams()},
-	} {
-		s := Series{Label: cfg.label}
-		for _, n := range workload.ReaderCounts {
-			sample, err := runNFSCell(cell{cfg.label, mk(cfg.table)}, cfg.heuristic, n, p)
-			if err != nil {
-				return nil, err
-			}
-			s.Samples = append(s.Samples, sample)
-		}
-		r.Series = append(r.Series, s)
-	}
-	return r, nil
+	return readersSweep(p, "fig7", "ide1 via NFS over UDP, busy client: heuristics and nfsheur", true, []simCell{
+		{"always", "always", mk(nfsheur.ImprovedParams())},
+		{"slowdown/new nfsheur", "slowdown", mk(nfsheur.ImprovedParams())},
+		{"default/new nfsheur", "default", mk(nfsheur.ImprovedParams())},
+		{"default/default nfsheur", "default", mk(nfsheur.DefaultParams())},
+	})
 }
 
-// strideThroughput measures one Figure 8 / Table 1 cell.
-func strideThroughput(disk testbed.DiskKind, heuristicName string, s int, p Params) (stats.Sample, error) {
-	var xs []float64
-	size := int64(256) * workload.MB / int64(p.Scale)
-	for run := 0; run < p.Runs; run++ {
-		tb, err := testbed.New(testbed.Options{
-			Seed: p.Seed + int64(run), Disk: disk, Partition: 1,
-			Server: nfsserver.Config{
-				Heuristic: heuristicByName(heuristicName),
-				Table:     nfsheur.ImprovedParams(),
-			},
-		})
-		if err != nil {
-			return stats.Sample{}, err
-		}
-		if _, err := tb.FS.Create("stride", size); err != nil {
-			return stats.Sample{}, err
-		}
-		if err := tb.Start(); err != nil {
-			return stats.Sample{}, err
-		}
-		res, err := workload.RunNFSStrideReader(tb, "stride", s)
-		tb.K.Shutdown()
-		if err != nil {
-			return stats.Sample{}, err
-		}
-		xs = append(xs, res.ThroughputMBps())
-	}
-	return stats.Summarize(xs), nil
+// strideOptions is the stride experiments' testbed: the disk's outer
+// partition served with the paper's enlarged nfsheur table.
+func strideOptions(disk testbed.DiskKind) testbed.Options {
+	return testbed.Options{Disk: disk, Partition: 1,
+		Server: nfsserver.Config{Table: nfsheur.ImprovedParams()}}
 }
-
-// strides are the Figure 8 / Table 1 sub-stream counts.
-var strides = []int{2, 4, 8}
 
 // Fig8 reproduces Figure 8: throughput reading a 256 MB file in 2, 4,
 // and 8-stride patterns with the cursor heuristic vs the default.
 func Fig8(p Params) (*Result, error) {
-	p.fill()
-	r := &Result{
-		ID: "fig8", Title: "Throughput for Stride Readers using UDP",
-		XLabel: "strides", YLabel: "throughput (MB/s)",
-		X: strides,
-	}
-	for _, cfg := range []struct{ label, disk, heuristic string }{
-		{"scsi1/cursor", "scsi", "cursor"},
-		{"ide1/cursor", "ide", "cursor"},
-		{"scsi1/default", "scsi", "default"},
-		{"ide1/default", "ide", "default"},
-	} {
-		s := Series{Label: cfg.label}
-		for _, st := range strides {
-			sample, err := strideThroughput(testbed.DiskKind(cfg.disk), cfg.heuristic, st, p)
-			if err != nil {
-				return nil, err
-			}
-			s.Samples = append(s.Samples, sample)
-		}
-		r.Series = append(r.Series, s)
-	}
-	return r, nil
+	return strideSweep(p, "fig8", "Throughput for Stride Readers using UDP")
 }
 
 // Table1 reproduces Table 1: the same cells as Figure 8 presented as
 // mean (stddev) throughput, ten reads of a single 256 MB file.
 func Table1(p Params) (*Result, error) {
-	r, err := Fig8(p)
+	r, err := strideSweep(p, "table1", "Mean throughput (MB/s) of stride reads of a 256 MB file")
 	if err != nil {
 		return nil, err
 	}
-	r.ID = "table1"
-	r.Title = "Mean throughput (MB/s) of stride reads of a 256 MB file"
 	r.Notes = append(r.Notes,
 		"paper (ide1): default 7.66/7.83/5.26, cursor 11.49/14.15/12.66",
 		"paper (scsi1): default 9.49/8.52/8.21, cursor 15.39/15.38/14.12")
 	return r, nil
+}
+
+// strideSweep is Figure 8 and Table 1: one stride reader with the
+// cursor heuristic vs the default on both drives.
+func strideSweep(p Params, id, title string) (*Result, error) {
+	r := &Result{
+		ID: id, Title: title,
+		XLabel: "strides", YLabel: "throughput (MB/s)",
+		X: []int{2, 4, 8},
+	}
+	return simSweep(p, r, []simCell{
+		{"scsi1/cursor", "cursor", strideOptions(testbed.SCSI)},
+		{"ide1/cursor", "cursor", strideOptions(testbed.IDE)},
+		{"scsi1/default", "default", strideOptions(testbed.SCSI)},
+		{"ide1/default", "default", strideOptions(testbed.IDE)},
+	}, func(c simCell, s int) (testbed.Options, simWork) {
+		return c.options(), simWork{stride: s}
+	})
 }

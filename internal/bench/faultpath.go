@@ -68,10 +68,6 @@ type faultCellResult struct {
 // live server with the given injected loss and DRC setting.
 func faultCell(network string, lossPct int, drcOn bool, triplets, run int, p Params) (faultCellResult, error) {
 	var r faultCellResult
-	svc := nfsd.New(memfs.NewFS(), nfsd.Config{
-		DRC: nfsd.DRCConfig{Enabled: drcOn},
-	})
-	defer svc.Close()
 	var inj *rpcnet.FaultInjector
 	if lossPct > 0 {
 		cfg := rpcnet.FaultConfig{Seed: p.Seed + int64(run)}
@@ -83,97 +79,94 @@ func faultCell(network string, lossPct int, drcOn bool, triplets, run int, p Par
 		}
 		inj = rpcnet.NewFaultInjector(cfg)
 	}
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{Faults: inj})
-	if err != nil {
-		return r, err
+	dial := func(addr string) (*memfs.Client, error) {
+		return memfs.DialClientRetry(network, addr, faultRetryPolicy(run, p), nil)
 	}
-	defer srv.Close()
-	c, err := memfs.DialClientRetry(network, srv.Addr(), faultRetryPolicy(run, p), nil)
-	if err != nil {
-		return r, err
-	}
-	defer c.Close()
-	// The retrier's counters go through the metrics registry and are read
-	// back from a snapshot at the end of the cell — the cell consumes the
-	// same rpcnet_retry_* series a production /metrics scrape would see,
-	// so the export path is exercised on every fault-path run.
-	reg := obs.NewRegistry()
-	c.Retrier().RegisterObs(reg)
+	cfg := nfsd.Config{DRC: nfsd.DRCConfig{Enabled: drcOn}}
+	err := withLive(memfs.NewFS(), cfg, rpcnet.ServerOptions{Faults: inj}, dial, func(l *live) error {
+		c, svc := l.c, l.svc
+		// The retrier's counters go through the metrics registry and are
+		// read back from a snapshot at the end of the cell — the cell
+		// consumes the same rpcnet_retry_* series a production /metrics
+		// scrape would see, so the export path is exercised on every
+		// fault-path run.
+		reg := obs.NewRegistry()
+		c.Retrier().RegisterObs(reg)
 
-	dir, err := c.Mkdir(vfs.RootFH, "d")
-	if err != nil {
-		return r, fmt.Errorf("mkdir: %w", err)
-	}
-	// The triplet loop: each iteration creates, renames and removes one
-	// file. Every operation should succeed — on a perfect network and,
-	// with the DRC shielding retransmissions, on a lossy one too. A
-	// NOENT or EXIST here is a duplicated execution's wrong answer (the
-	// retransmission re-ran against post-execution state), counted, not
-	// fatal: with the DRC off it is the pinned failure under test.
-	lats := make([]float64, 0, 3*triplets)
-	spuriousKind := func(err error) bool {
-		return errors.Is(err, vfs.ErrNoEnt) || errors.Is(err, vfs.ErrExist)
-	}
-	op := func(f func() error) error {
-		start := time.Now()
-		err := f()
-		lats = append(lats, float64(time.Since(start).Microseconds())/1000)
-		if err != nil && spuriousKind(err) {
-			r.spurious++
-			return nil
+		dir, err := c.Mkdir(vfs.RootFH, "d")
+		if err != nil {
+			return fmt.Errorf("mkdir: %w", err)
 		}
-		return err
-	}
-	start := time.Now()
-	for i := 0; i < triplets; i++ {
-		name, renamed := fmt.Sprintf("f%04d", i), fmt.Sprintf("f%04dr", i)
-		if err := op(func() error {
-			_, err := c.Create(dir, name, faultFileBytes)
+		// The triplet loop: each iteration creates, renames and removes
+		// one file. Every operation should succeed — on a perfect network
+		// and, with the DRC shielding retransmissions, on a lossy one too.
+		// A NOENT or EXIST here is a duplicated execution's wrong answer
+		// (the retransmission re-ran against post-execution state),
+		// counted, not fatal: with the DRC off it is the pinned failure
+		// under test.
+		lats := make([]float64, 0, 3*triplets)
+		op := func(f func() error) error {
+			start := time.Now()
+			err := f()
+			lats = append(lats, float64(time.Since(start).Microseconds())/1000)
+			if errors.Is(err, vfs.ErrNoEnt) || errors.Is(err, vfs.ErrExist) {
+				r.spurious++
+				return nil
+			}
 			return err
-		}); err != nil {
-			return r, fmt.Errorf("create %s: %w", name, err)
 		}
-		if err := op(func() error { return c.Rename(dir, name, dir, renamed) }); err != nil {
-			return r, fmt.Errorf("rename %s: %w", name, err)
+		start := time.Now()
+		for i := 0; i < triplets; i++ {
+			name, renamed := fmt.Sprintf("f%04d", i), fmt.Sprintf("f%04dr", i)
+			if err := op(func() error {
+				_, err := c.Create(dir, name, faultFileBytes)
+				return err
+			}); err != nil {
+				return fmt.Errorf("create %s: %w", name, err)
+			}
+			if err := op(func() error { return c.Rename(dir, name, dir, renamed) }); err != nil {
+				return fmt.Errorf("rename %s: %w", name, err)
+			}
+			if err := op(func() error { return c.Remove(dir, renamed) }); err != nil {
+				return fmt.Errorf("remove %s: %w", renamed, err)
+			}
 		}
-		if err := op(func() error { return c.Remove(dir, renamed) }); err != nil {
-			return r, fmt.Errorf("remove %s: %w", renamed, err)
-		}
-	}
-	elapsed := time.Since(start).Seconds()
+		elapsed := time.Since(start).Seconds()
 
-	left, err := c.ReaddirAll(dir, 8192)
-	if err != nil {
-		return r, fmt.Errorf("final readdir: %w", err)
-	}
-	if r.leftover, err = leftoverEntries(drcOn, len(left), triplets); err != nil {
-		return r, err
-	}
-	// Executed-procedure counts: ProcCounts only increments when a call
-	// actually dispatches (DRC hits and busy-drops do not), so any
-	// excess over the issued count is a duplicated execution.
-	counts := svc.ProcCounts()
-	for _, proc := range []uint32{nfsproto.ProcCreate, nfsproto.ProcRename, nfsproto.ProcRemove} {
-		if extra := int(counts[proc]) - triplets; extra > 0 {
-			r.dupExec += extra
+		left, err := c.ReaddirAll(dir, 8192)
+		if err != nil {
+			return fmt.Errorf("final readdir: %w", err)
 		}
-	}
+		if r.leftover, err = leftoverEntries(drcOn, len(left), triplets); err != nil {
+			return err
+		}
+		// Executed-procedure counts: ProcCounts only increments when a
+		// call actually dispatches (DRC hits and busy-drops do not), so
+		// any excess over the issued count is a duplicated execution.
+		counts := svc.ProcCounts()
+		for _, proc := range []uint32{nfsproto.ProcCreate, nfsproto.ProcRename, nfsproto.ProcRemove} {
+			if extra := int(counts[proc]) - triplets; extra > 0 {
+				r.dupExec += extra
+			}
+		}
 
-	r.goodput = float64(3*triplets) / elapsed
-	r.p99ms = stats.Percentile(lats, 99)
-	r.faultsIn = inj.Stats(rpcnet.DirIn)
-	r.faultsOut = inj.Stats(rpcnet.DirOut)
-	snap := reg.Dump()
-	r.retry = rpcnet.RetryStats{
-		Calls:         snap.Counters["rpcnet_retry_calls_total"],
-		Retransmits:   snap.Counters["rpcnet_retry_retransmits_total"],
-		MajorTimeouts: snap.Counters["rpcnet_retry_major_timeouts_total"],
-		SendFailures:  snap.Counters["rpcnet_retry_send_failures_total"],
-	}
-	r.rtoMS = snap.Gauges["rpcnet_retry_rto_seconds"] * 1000
-	drcStats := svc.DRCStats()
-	r.drcHits, r.drcBusy = drcStats.Hits, drcStats.Busy
-	return r, nil
+		r.goodput = float64(3*triplets) / elapsed
+		r.p99ms = stats.Percentile(lats, 99)
+		r.faultsIn = inj.Stats(rpcnet.DirIn)
+		r.faultsOut = inj.Stats(rpcnet.DirOut)
+		snap := reg.Dump()
+		r.retry = rpcnet.RetryStats{
+			Calls:         snap.Counters["rpcnet_retry_calls_total"],
+			Retransmits:   snap.Counters["rpcnet_retry_retransmits_total"],
+			MajorTimeouts: snap.Counters["rpcnet_retry_major_timeouts_total"],
+			SendFailures:  snap.Counters["rpcnet_retry_send_failures_total"],
+		}
+		r.rtoMS = snap.Gauges["rpcnet_retry_rto_seconds"] * 1000
+		drcStats := svc.DRCStats()
+		r.drcHits, r.drcBusy = drcStats.Hits, drcStats.Busy
+		return nil
+	})
+	return r, err
 }
 
 // leftoverEntries judges the entries a cell's triplets left in their
@@ -219,11 +212,6 @@ func FaultPath(p Params) (*Result, error) {
 		X: faultLossPcts,
 	}
 	triplets := faultTriplets(p)
-	// One discarded warmup cell: first live measurement pays cold TCP
-	// buffers and allocator growth (see zcav.go).
-	if _, err := faultCell("tcp", 0, true, triplets, 0, p); err != nil {
-		return nil, fmt.Errorf("fault-path warmup: %w", err)
-	}
 	type cell struct {
 		network string
 		drcOn   bool
@@ -233,17 +221,17 @@ func FaultPath(p Params) (*Result, error) {
 		{"tcp", true}, {"tcp", false},
 	}
 	label := func(c cell) string {
-		drc := "off"
 		if c.drcOn {
-			drc = "on"
+			return c.network + "/drc=on"
 		}
-		return fmt.Sprintf("%s/drc=%s", c.network, drc)
+		return c.network + "/drc=off"
 	}
-	goodput := make(map[string][][]float64)
-	p99 := make(map[string][][]float64)
+	g := newGrid(r)
 	for _, c := range cells {
-		goodput[label(c)] = make([][]float64, len(faultLossPcts))
-		p99[label(c)] = make([][]float64, len(faultLossPcts))
+		g.series(BetterHigher, label(c)+"/goodput")
+	}
+	for _, c := range cells {
+		g.series(BetterLower, label(c)+"/p99ms")
 	}
 	var totals struct {
 		spuriousOff, dupOff int
@@ -253,50 +241,34 @@ func FaultPath(p Params) (*Result, error) {
 		drops, stalls       int64
 		maxRTOms            float64
 	}
-	// Runs interleave the four cells so machine drift lands on every
-	// series equally.
-	for xi, loss := range faultLossPcts {
-		for run := 0; run < p.Runs; run++ {
-			for _, c := range cells {
-				m, err := faultCell(c.network, loss, c.drcOn, triplets, run, p)
-				if err != nil {
-					return nil, fmt.Errorf("fault-path %s loss=%d%%: %w", label(c), loss, err)
-				}
-				if c.drcOn && (m.spurious > 0 || m.dupExec > 0) {
-					return nil, fmt.Errorf("fault-path %s loss=%d%%: DRC on but %d spurious errors, %d duplicated executions",
-						label(c), loss, m.spurious, m.dupExec)
-				}
-				goodput[label(c)][xi] = append(goodput[label(c)][xi], m.goodput)
-				p99[label(c)][xi] = append(p99[label(c)][xi], m.p99ms)
-				if !c.drcOn {
-					totals.spuriousOff += m.spurious
-					totals.dupOff += m.dupExec
-					totals.leftoverOff += m.leftover
-				}
-				totals.drcHits += m.drcHits
-				totals.drcBusy += m.drcBusy
-				totals.retrans += m.retry.Retransmits
-				totals.drops += m.faultsIn.Drops + m.faultsOut.Drops
-				totals.stalls += m.faultsIn.Stalls + m.faultsOut.Stalls
-				if m.rtoMS > totals.maxRTOms {
-					totals.maxRTOms = m.rtoMS
-				}
-			}
+	err := sweep(p, g, r.X, cells, label, func(c cell, pt point) error {
+		m, err := faultCell(c.network, pt.x, c.drcOn, triplets, pt.run, p)
+		if err != nil {
+			return err
 		}
-	}
-	for _, c := range cells {
-		s := Series{Label: label(c) + "/goodput", Better: BetterHigher}
-		for xi := range faultLossPcts {
-			s.Samples = append(s.Samples, stats.Summarize(goodput[label(c)][xi]))
+		if c.drcOn && (m.spurious > 0 || m.dupExec > 0) {
+			return fmt.Errorf("DRC on but %d spurious errors, %d duplicated executions", m.spurious, m.dupExec)
 		}
-		r.Series = append(r.Series, s)
-	}
-	for _, c := range cells {
-		s := Series{Label: label(c) + "/p99ms", Better: BetterLower}
-		for xi := range faultLossPcts {
-			s.Samples = append(s.Samples, stats.Summarize(p99[label(c)][xi]))
+		pt.put(label(c)+"/goodput", m.goodput)
+		pt.put(label(c)+"/p99ms", m.p99ms)
+		if pt.warm() {
+			return nil
 		}
-		r.Series = append(r.Series, s)
+		if !c.drcOn {
+			totals.spuriousOff += m.spurious
+			totals.dupOff += m.dupExec
+			totals.leftoverOff += m.leftover
+		}
+		totals.drcHits += m.drcHits
+		totals.drcBusy += m.drcBusy
+		totals.retrans += m.retry.Retransmits
+		totals.drops += m.faultsIn.Drops + m.faultsOut.Drops
+		totals.stalls += m.faultsIn.Stalls + m.faultsOut.Stalls
+		totals.maxRTOms = max(totals.maxRTOms, m.rtoMS)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("each cell: fresh live server, %d create/rename/remove triplets; loss%% = per-direction message fault probability", triplets),
@@ -307,5 +279,5 @@ func FaultPath(p Params) (*Result, error) {
 			totals.spuriousOff, totals.dupOff, totals.leftoverOff),
 		fmt.Sprintf("client retry policy: %d transmits max, RTO in [20ms, 1s], Jacobson-estimated, 20%% jitter", 8),
 		fmt.Sprintf("retry counters read via obs registry (rpcnet_retry_*); max end-of-cell smoothed RTO %.1fms", totals.maxRTOms))
-	return r, nil
+	return g.result(), nil
 }

@@ -12,25 +12,21 @@ func TestFaultPathSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series) != 8 {
-		t.Fatalf("series = %d, want 8 (4 goodput + 4 p99)", len(r.Series))
-	}
+	checkShape(t, r, shape{
+		"fault-path", "Fault-tolerant RPC path: loss x transport x DRC over live sockets", "loss%", "triplet ops/s (p99: ms)",
+		[]int{0, 1, 5},
+		[][2]string{
+			{"udp/drc=on/goodput", "higher"}, {"udp/drc=off/goodput", "higher"},
+			{"tcp/drc=on/goodput", "higher"}, {"tcp/drc=off/goodput", "higher"},
+			{"udp/drc=on/p99ms", "lower"}, {"udp/drc=off/p99ms", "lower"},
+			{"tcp/drc=on/p99ms", "lower"}, {"tcp/drc=off/p99ms", "lower"},
+		},
+	})
 	for _, s := range r.Series {
-		if len(s.Samples) != len(r.X) {
-			t.Fatalf("%s: %d samples for %d X values", s.Label, len(s.Samples), len(r.X))
-		}
 		for i, sm := range s.Samples {
 			if !(sm.Mean > 0) {
 				t.Errorf("%s[x=%d]: mean %v, want > 0", s.Label, r.X[i], sm.Mean)
 			}
-		}
-	}
-	for _, label := range []string{
-		"udp/drc=on/goodput", "udp/drc=off/goodput",
-		"tcp/drc=on/p99ms", "tcp/drc=off/p99ms",
-	} {
-		if _, ok := r.SeriesByLabel(label); !ok {
-			t.Errorf("missing series %q", label)
 		}
 	}
 }

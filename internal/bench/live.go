@@ -11,7 +11,6 @@ import (
 	"nfstricks/internal/obs"
 	"nfstricks/internal/readahead"
 	"nfstricks/internal/rpcnet"
-	"nfstricks/internal/stats"
 	"nfstricks/internal/workload"
 )
 
@@ -19,25 +18,16 @@ import (
 // experiment.
 var liveClientCounts = []int{1, 2, 4, 8, 16}
 
-// liveShardCounts are the nfsheur shard configurations compared: 1
-// shard is the seed's effective configuration (every READ serialized on
-// one table lock), the others stripe the table.
-var liveShardCounts = []int{1, 4, 8}
-
 // liveBytesPerClient is how much each client reads per run at Scale 1.
 const liveBytesPerClient = 16 * workload.MB
 
 // liveScaleCell runs n concurrent clients against a live loopback
 // server whose nfsheur table has the given shard count, and returns the
 // aggregate READ throughput in MB/s. With reg non-nil the server runs
-// fully instrumented — per-request stage spans, per-proc counters —
-// which is also how the observability cost bound is measured (reg nil =
-// metrics off).
+// fully instrumented — per-request stage spans, per-proc counters;
+// reg nil is metrics off.
 func liveScaleCell(shards, n int, p Params, reg *obs.Registry) (float64, error) {
-	perClient := liveBytesPerClient / int64(p.Scale)
-	if perClient < 64*1024 {
-		perClient = 64 * 1024
-	}
+	perClient := max(liveBytesPerClient/int64(p.Scale), 64*1024)
 	fs := memfs.NewFS()
 	payload := make([]byte, perClient)
 	for i := range payload {
@@ -50,56 +40,62 @@ func liveScaleCell(shards, n int, p Params, reg *obs.Registry) (float64, error) 
 	}
 	tp := nfsheur.ScaledParams()
 	tp.Shards = shards
-	svc := nfsd.New(fs, nfsd.Config{
-		Heuristic: readahead.SlowDown{},
-		Table:     nfsheur.New(tp),
-		Obs:       reg,
-	})
-	defer svc.Close()
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
-	if err != nil {
-		return 0, err
-	}
-	defer srv.Close()
-
-	clients := make([]*memfs.Client, n)
-	for i := range clients {
-		c, err := memfs.DialClient("tcp", srv.Addr())
-		if err != nil {
-			return 0, err
-		}
-		defer c.Close()
-		clients[i] = c
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	start := time.Now()
-	for i, c := range clients {
-		wg.Add(1)
-		go func(c *memfs.Client, name string) {
-			defer wg.Done()
-			fh, size, err := c.Lookup(memfs.RootFH, name)
+	cfg := nfsd.Config{Heuristic: readahead.SlowDown{}, Table: nfsheur.New(tp), Obs: reg}
+	var mbps float64
+	err := withLive(fs, cfg, rpcnet.ServerOptions{}, nil, func(l *live) error {
+		clients := []*memfs.Client{l.c}
+		for len(clients) < n {
+			c, err := memfs.DialClient("tcp", l.srv.Addr())
 			if err != nil {
-				errs <- err
-				return
+				return err
 			}
-			for off := uint64(0); off < uint64(size); off += 8192 {
-				if _, _, err := c.Read(fh, off, 8192); err != nil {
+			defer c.Close()
+			clients = append(clients, c)
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, n)
+		start := time.Now()
+		for i, c := range clients {
+			wg.Add(1)
+			go func(c *memfs.Client, name string) {
+				defer wg.Done()
+				fh, size, err := c.Lookup(memfs.RootFH, name)
+				if err != nil {
 					errs <- err
 					return
 				}
-			}
-		}(c, names[i])
+				for off := uint64(0); off < uint64(size); off += 8192 {
+					if _, _, err := c.Read(fh, off, 8192); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(c, names[i])
+		}
+		wg.Wait()
+		elapsed := time.Since(start)
+		close(errs)
+		for err := range errs {
+			return err
+		}
+		mbps = float64(perClient) * float64(n) / 1e6 / elapsed.Seconds()
+		return nil
+	})
+	return mbps, err
+}
+
+// liveShards is one live-scale series: a shard count, with metrics
+// on or off.
+type liveShards struct {
+	shards int
+	obs    bool
+}
+
+func (c liveShards) name() string {
+	if !c.obs {
+		return fmt.Sprintf("shards=%d obs=off", c.shards)
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(errs)
-	for err := range errs {
-		return 0, err
-	}
-	total := float64(perClient) * float64(n)
-	return total / 1e6 / elapsed.Seconds(), nil
+	return fmt.Sprintf("shards=%d", c.shards)
 }
 
 // LiveScale is the live-server saturation benchmark: it sweeps
@@ -111,14 +107,15 @@ func liveScaleCell(shards, n int, p Params, reg *obs.Registry) (float64, error) 
 // with GOMAXPROCS=1 the series coincide, which is itself the honest
 // result).
 //
-// Every measured run is fully instrumented (a fresh obs registry per
+// Every shards=N run is fully instrumented (a fresh obs registry per
 // run: stage spans on each request, per-proc counters), so the numbers
-// are the observable server's numbers. Two extra notes report what the
-// instrumentation shows and what it costs: the busiest cell's per-stage
-// latency breakdown, and the throughput delta between metrics-on and
-// metrics-off on that same cell (the issue's <3% bound).
+// are the observable server's numbers, and a note reports the busiest
+// cell's per-stage latency breakdown. The shards=8 obs=off series is
+// the same server with metrics off, interleaved with it in every run:
+// the instrumentation cost is the gap between the two series, a pair
+// of cells nfsbench compare can test.
 //
-// Unlike every other experiment this one measures the real machine —
+// Unlike the simulated experiments this one measures the real machine —
 // wall-clock time over real sockets — so absolute numbers vary by host;
 // the claim under test is the relative shape across shard counts.
 func LiveScale(p Params) (*Result, error) {
@@ -128,75 +125,40 @@ func LiveScale(p Params) (*Result, error) {
 		XLabel: "clients", YLabel: "throughput (MB/s)",
 		X: liveClientCounts,
 	}
+	// 1 shard is the seed's effective configuration (every READ
+	// serialized on one table lock), the others stripe the table.
+	cells := []liveShards{{1, true}, {4, true}, {8, true}, {8, false}}
+	g := newGrid(r)
+	for _, c := range cells {
+		g.series(BetterHigher, c.name())
+	}
 	var busiest obs.ProcStats
-	maxShards := liveShardCounts[len(liveShardCounts)-1]
 	maxClients := liveClientCounts[len(liveClientCounts)-1]
-	for _, shards := range liveShardCounts {
-		s := Series{Label: fmt.Sprintf("shards=%d", shards), Better: BetterHigher}
-		for _, n := range liveClientCounts {
-			stop := p.startCellProfile(fmt.Sprintf("live-scale_shards%d_c%d", shards, n))
-			var xs []float64
-			for run := 0; run < p.Runs; run++ {
-				reg := obs.NewRegistry()
-				mbps, err := liveScaleCell(shards, n, p, reg)
-				if err != nil {
-					stop()
-					return nil, fmt.Errorf("live-scale shards=%d n=%d: %w", shards, n, err)
-				}
-				xs = append(xs, mbps)
-				if shards == maxShards && n == maxClients {
-					if ps, ok := reg.Spans("nfsd_op", nil).ProcSummary("READ"); ok {
-						busiest = ps
-					}
-				}
-			}
-			stop()
-			s.Samples = append(s.Samples, stats.Summarize(xs))
+	err := sweep(p, g, r.X, cells, liveShards.name, func(c liveShards, pt point) error {
+		var reg *obs.Registry
+		if c.obs {
+			reg = obs.NewRegistry()
 		}
-		r.Series = append(r.Series, s)
+		mbps, err := liveScaleCell(c.shards, pt.x, p, reg)
+		if err != nil {
+			return err
+		}
+		pt.put(c.name(), mbps)
+		if c == cells[2] && pt.x == maxClients {
+			busiest, _ = reg.Spans("nfsd_op", nil).ProcSummary("READ")
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	if busiest.Count > 0 {
-		r.Notes = append(r.Notes, fmt.Sprintf("stage breakdown (shards=%d clients=%d, last run) READ: %s",
-			maxShards, maxClients, busiest.Note()))
-	}
-
-	// The observability cost probe: the busiest cell again, metrics on
-	// vs off, paired runs. The issue's acceptance bound is 3%; loopback
-	// throughput is noisy, so this is a report, not a gate — the gating
-	// check is the allocation test in internal/nfsd.
-	probes := p.Runs
-	if probes > 3 {
-		probes = 3
-	}
-	var on, off []float64
-	for i := 0; i < probes; i++ {
-		// Alternate which side runs first so per-pair warmup drift
-		// (allocator growth, scheduler state) doesn't bias one side.
-		for j := 0; j < 2; j++ {
-			var reg *obs.Registry
-			if (i+j)%2 == 0 {
-				reg = obs.NewRegistry()
-			}
-			v, err := liveScaleCell(maxShards, maxClients, p, reg)
-			if err != nil {
-				return nil, err
-			}
-			if reg != nil {
-				on = append(on, v)
-			} else {
-				off = append(off, v)
-			}
-		}
-	}
-	sOn, sOff := stats.Summarize(on), stats.Summarize(off)
-	delta := 0.0
-	if sOff.Mean > 0 {
-		delta = (sOff.Mean - sOn.Mean) / sOff.Mean * 100
+		r.Notes = append(r.Notes, fmt.Sprintf("stage breakdown (%s clients=%d, last run) READ: %s",
+			cells[2].name(), maxClients, busiest.Note()))
 	}
 	r.Notes = append(r.Notes,
-		fmt.Sprintf("obs overhead probe (shards=%d clients=%d, %d paired runs): on=%.1f MB/s off=%.1f MB/s (%.1f%% cost)",
-			maxShards, maxClients, probes, sOn.Mean, sOff.Mean, delta),
 		"real wall-clock over loopback sockets; absolute MB/s is host-dependent",
-		"shards=1 reproduces the seed's single-mutex READ path")
-	return r, nil
+		"shards=1 reproduces the seed's single-mutex READ path",
+		"shards=8 obs=off is shards=8 with metrics off, measured beside it in every run")
+	return g.result(), nil
 }

@@ -4,29 +4,25 @@ import "testing"
 
 // TestLiveScaleShape smoke-tests the real-socket saturation experiment
 // at a tiny scale: every cell must produce a positive throughput and
-// the result must carry one series per shard configuration. (Relative
-// speedups across shard counts are host-dependent — GOMAXPROCS=1 CI
-// machines legitimately show none — so the shape check stops at
-// well-formedness.)
+// the result must carry one series per shard configuration plus the
+// metrics-off twin of shards=8. (Relative speedups across shard counts
+// are host-dependent — GOMAXPROCS=1 CI machines legitimately show none
+// — so the shape check stops at well-formedness.)
 func TestLiveScaleShape(t *testing.T) {
 	r, err := LiveScale(Params{Runs: 1, Scale: 64, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series) != len(liveShardCounts) {
-		t.Fatalf("got %d series, want %d", len(r.Series), len(liveShardCounts))
-	}
+	checkShape(t, r, shape{
+		"live-scale", "Live server saturation: nfsheur sharding vs concurrent clients", "clients", "throughput (MB/s)",
+		[]int{1, 2, 4, 8, 16},
+		[][2]string{{"shards=1", "higher"}, {"shards=4", "higher"}, {"shards=8", "higher"}, {"shards=8 obs=off", "higher"}},
+	})
 	for _, s := range r.Series {
-		if len(s.Samples) != len(liveClientCounts) {
-			t.Fatalf("series %s has %d samples", s.Label, len(s.Samples))
-		}
 		for i, smp := range s.Samples {
 			if smp.Mean <= 0 {
 				t.Fatalf("series %s x=%d mean %.3f", s.Label, liveClientCounts[i], smp.Mean)
 			}
 		}
-	}
-	if _, ok := r.SeriesByLabel("shards=1"); !ok {
-		t.Fatal("single-mutex baseline series missing")
 	}
 }

@@ -97,7 +97,7 @@ func CollectMeta(p Params, experiments []string) RunMeta {
 // written as <ProfileDir>/<cell>.cpu.pprof, and returns the stop
 // function. With ProfileDir unset (or on any setup error) it is a
 // no-op: profiling must never fail a measurement. Only one CPU profile
-// can run at a time, so cells call this strictly sequentially.
+// can run at a time, so only the sweep calls it, one cell at a time.
 func (p Params) startCellProfile(cell string) func() {
 	if p.ProfileDir == "" {
 		return func() {}

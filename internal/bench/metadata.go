@@ -8,7 +8,6 @@ import (
 	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
 	"nfstricks/internal/rpcnet"
-	"nfstricks/internal/stats"
 	"nfstricks/internal/vfs"
 	"nfstricks/internal/zonefs"
 )
@@ -40,35 +39,27 @@ type metaRates struct {
 // warm; the in-memory backend has no disk to be cold on, so both scans
 // measure the same path.
 func metaCell(backendKind string, entries, run int, p Params) (metaRates, error) {
-	var r metaRates
-	var backend vfs.Backend
+	var backend vfs.Backend = memfs.NewFS()
 	var zfs *zonefs.FS
-	switch backendKind {
-	case "mem":
-		backend = memfs.NewFS()
-	case "zone":
+	if backendKind == "zone" {
 		zfs = zonefs.New(zonefs.Config{
 			Placement: zonefs.Outer,
 			CacheMB:   64,
 			Seed:      p.Seed + int64(run),
 		})
 		backend = zfs
-	default:
-		return r, fmt.Errorf("metadata-path: unknown backend %q", backendKind)
 	}
-	svc := nfsd.New(backend, nfsd.Config{})
-	defer svc.Close()
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
-	if err != nil {
-		return r, err
-	}
-	defer srv.Close()
-	c, err := memfs.DialClient("tcp", srv.Addr())
-	if err != nil {
-		return r, err
-	}
-	defer c.Close()
+	var r metaRates
+	err := withLive(backend, nfsd.Config{}, rpcnet.ServerOptions{}, nil, func(l *live) (err error) {
+		r, err = metaRun(l.c, zfs, entries)
+		return err
+	})
+	return r, err
+}
 
+// metaRun is one metadata cell's workload on client c.
+func metaRun(c *memfs.Client, zfs *zonefs.FS, entries int) (metaRates, error) {
+	var r metaRates
 	dir, err := c.Mkdir(vfs.RootFH, "d")
 	if err != nil {
 		return r, err
@@ -149,18 +140,6 @@ func MetadataPath(p Params) (*Result, error) {
 		XLabel: "dirsize", YLabel: "ops/s (readdir: entries/s)",
 		X: metaDirSizes,
 	}
-	entriesFor := func(size int) int {
-		n := size / p.Scale
-		if n < 20 {
-			n = 20
-		}
-		return n
-	}
-	// One discarded warmup cell: the first live measurement in a
-	// process pays cold TCP buffers and allocator growth (see zcav.go).
-	if _, err := metaCell("mem", entriesFor(metaDirSizes[0]), 0, p); err != nil {
-		return nil, fmt.Errorf("metadata-path warmup: %w", err)
-	}
 	type series struct {
 		label string
 		pick  func(metaRates) float64
@@ -181,39 +160,28 @@ func MetadataPath(p Params) (*Result, error) {
 		},
 	}
 	backends := []string{"mem", "zone"}
-	samples := make(map[string][][]float64)
+	g := newGrid(r)
 	for _, b := range backends {
 		for _, s := range byBackend[b] {
-			samples[s.label] = make([][]float64, len(metaDirSizes))
+			g.series("", s.label)
 		}
 	}
-	// Runs interleave the backends (mem and zone measured back to back
-	// within each run) so machine drift lands on both series equally.
-	for xi, size := range metaDirSizes {
-		for run := 0; run < p.Runs; run++ {
-			for _, b := range backends {
-				m, err := metaCell(b, entriesFor(size), run, p)
-				if err != nil {
-					return nil, fmt.Errorf("metadata-path %s dirsize=%d: %w", b, size, err)
-				}
-				for _, s := range byBackend[b] {
-					samples[s.label][xi] = append(samples[s.label][xi], s.pick(m))
-				}
-			}
+	err := sweep(p, g, r.X, backends, ident, func(b string, pt point) error {
+		m, err := metaCell(b, max(pt.x/p.Scale, 20), pt.run, p)
+		if err != nil {
+			return err
 		}
-	}
-	for _, b := range backends {
 		for _, s := range byBackend[b] {
-			out := Series{Label: s.label}
-			for xi := range metaDirSizes {
-				out.Samples = append(out.Samples, stats.Summarize(samples[s.label][xi]))
-			}
-			r.Series = append(r.Series, out)
+			pt.put(s.label, s.pick(m))
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("each cell: fresh live server over TCP loopback; files are %d B; readdir pages %d-byte replies", metaFileBytes, metaReaddirBudget),
 		"zone/readdir-cold runs after DropCaches: every directory entry block pays the simulated disk",
 		"creates/renames install directory blocks as resident pages, so only the cold scan touches the disk model")
-	return r, nil
+	return g.result(), nil
 }

@@ -19,22 +19,17 @@ func TestMetadataPathSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Series) != 9 {
-		t.Fatalf("series = %d, want 9 (4 mem + 5 zone)", len(r.Series))
-	}
+	checkShape(t, r, shape{
+		"metadata-path", "Metadata path: create/stat/rename/readdir over live TCP", "dirsize", "ops/s (readdir: entries/s)",
+		[]int{100, 1000},
+		[][2]string{{"mem/create", ""}, {"mem/stat", ""}, {"mem/rename", ""}, {"mem/readdir", ""},
+			{"zone/create", ""}, {"zone/stat", ""}, {"zone/rename", ""}, {"zone/readdir-cold", ""}, {"zone/readdir-warm", ""}},
+	})
 	for _, s := range r.Series {
-		if len(s.Samples) != len(r.X) {
-			t.Fatalf("%s: %d samples for %d X values", s.Label, len(s.Samples), len(r.X))
-		}
 		for i, sm := range s.Samples {
 			if !(sm.Mean > 0) {
 				t.Errorf("%s[x=%d]: mean %v, want > 0", s.Label, r.X[i], sm.Mean)
 			}
-		}
-	}
-	for _, label := range []string{"mem/create", "mem/readdir", "zone/readdir-cold", "zone/readdir-warm"} {
-		if _, ok := r.SeriesByLabel(label); !ok {
-			t.Errorf("missing series %q", label)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package bench
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"nfstricks/internal/memfs"
@@ -60,42 +62,41 @@ func captureWorkload(perStream int) ([]tracefile.Record, float64, error) {
 		return nil, 0, err
 	}
 	capt := nfstrace.NewCapture(w)
-	srv, err := nfsd.NewServer("127.0.0.1:0", nfsd.New(fs, nfsd.Config{}), rpcnet.ServerOptions{Tap: capt.Tap})
-	if err != nil {
-		return nil, 0, err
-	}
-
-	errs := make(chan error, traceReplayStreams)
-	t0 := time.Now()
-	for i := 0; i < traceReplayStreams; i++ {
-		go func(fh nfsproto.FH) {
-			c, err := memfs.DialClient("tcp", srv.Addr())
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			for off := uint64(0); off < uint64(perStream); off += 8192 {
-				if _, _, err := c.Read(fh, off, 8192); err != nil {
+	var elapsed time.Duration
+	err = withLive(fs, nfsd.Config{}, rpcnet.ServerOptions{Tap: capt.Tap}, nil, func(l *live) error {
+		errs := make(chan error, traceReplayStreams)
+		t0 := time.Now()
+		for _, fh := range fhs {
+			go func(fh nfsproto.FH) {
+				c, err := memfs.DialClient("tcp", l.srv.Addr())
+				if err != nil {
 					errs <- err
 					return
 				}
-				time.Sleep(traceReplayGap)
-			}
-			errs <- nil
-		}(fhs[i])
-	}
-	var firstErr error
-	for i := 0; i < traceReplayStreams; i++ {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
+				defer c.Close()
+				for off := uint64(0); off < uint64(perStream); off += 8192 {
+					if _, _, err := c.Read(fh, off, 8192); err != nil {
+						errs <- err
+						return
+					}
+					time.Sleep(traceReplayGap)
+				}
+				errs <- nil
+			}(fh)
 		}
-	}
-	elapsed := time.Since(t0)
-	srv.Close()
-	if firstErr != nil {
+		var firstErr error
+		for range fhs {
+			if err := <-errs; err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		elapsed = time.Since(t0)
+		return firstErr
+	})
+	// The server is closed: the capture holds every record.
+	if err != nil {
 		capt.Close()
-		return nil, 0, firstErr
+		return nil, 0, err
 	}
 	if err := capt.Err(); err != nil {
 		return nil, 0, err
@@ -108,6 +109,35 @@ func captureWorkload(perStream int) ([]tracefile.Record, float64, error) {
 		return nil, 0, err
 	}
 	return recs, float64(len(recs)) / elapsed.Seconds(), nil
+}
+
+// captures takes one capture per run, on the run's first call, so every
+// cell of a run replays the same trace.
+type captures struct {
+	perStream, run int
+	recs           []tracefile.Record
+	// ops and reorderPct hold each capture's ops/s and READ reorder %.
+	ops, reorderPct []float64
+}
+
+func newCaptures(perStream int) *captures { return &captures{perStream: perStream, run: -1} }
+
+func (c *captures) of(run int) ([]tracefile.Record, error) {
+	if run == c.run {
+		return c.recs, nil
+	}
+	recs, ops, err := captureWorkload(c.perStream)
+	if err != nil {
+		return nil, fmt.Errorf("capture: %w", err)
+	}
+	if len(recs) == 0 {
+		return nil, errors.New("empty capture")
+	}
+	a := nfstrace.Analyze(nfstrace.FromTracefile(recs), nfsproto.ProcRead)
+	c.run, c.recs = run, recs
+	c.ops = append(c.ops, ops)
+	c.reorderPct = append(c.reorderPct, 100*a.ReorderFrac)
+	return recs, nil
 }
 
 // traceSpan is the arrival span of a capture (first to last request).
@@ -155,87 +185,51 @@ func replayOptions(addr string, speed int) replay.Options {
 // (`cmd/nfstrace` analyzes and replays the same format).
 func TraceReplay(p Params) (*Result, error) {
 	p.fill()
-	perStream := traceReplayBytes / p.Scale
-	if perStream < 64*1024 {
-		perStream = 64 * 1024
-	}
+	perStream := max(traceReplayBytes/p.Scale, 64*1024)
 	r := &Result{
 		ID: "trace-replay", Title: "Trace capture & replay: achieved load vs replay schedule",
 		XLabel: "speed", YLabel: "ops/s, latency (µs), span error (%)",
 		X: traceReplaySpeeds,
 	}
-
-	opsSeries := Series{Label: "achieved ops/s", Better: BetterHigher}
-	p50Series := Series{Label: "p50 latency (µs)", Better: BetterLower}
-	p99Series := Series{Label: "p99 latency (µs)", Better: BetterLower}
-	spanSeries := Series{Label: "span error (%)", Better: BetterLower}
-
-	var captureOps []float64
-	var captureReorder []float64
-	cells := make(map[int][]*replay.Stats)
-	spans := make(map[int][]float64)
-	for run := 0; run < p.Runs; run++ {
-		recs, opsPerSec, err := captureWorkload(perStream)
+	g := newGrid(r).series(BetterHigher, "achieved ops/s").
+		series(BetterLower, "p50 latency (µs)", "p99 latency (µs)", "span error (%)")
+	caps := newCaptures(perStream)
+	err := sweep(p, g, r.X, []string{"replay"}, ident, func(_ string, pt point) error {
+		recs, err := caps.of(pt.run)
 		if err != nil {
-			return nil, fmt.Errorf("trace-replay capture: %w", err)
+			return err
 		}
-		if len(recs) == 0 {
-			return nil, fmt.Errorf("trace-replay: empty capture")
-		}
-		captureOps = append(captureOps, opsPerSec)
-		a := nfstrace.Analyze(nfstrace.FromTracefile(recs), nfsproto.ProcRead)
-		captureReorder = append(captureReorder, 100*a.ReorderFrac)
-		span := traceSpan(recs)
-
-		for _, speed := range traceReplaySpeeds {
-			// A fresh server over an identically built store: captured
-			// handles replay under the identity mapping.
-			fs, _ := traceReplayEnv(perStream)
-			srv, err := nfsd.NewServer("127.0.0.1:0", nfsd.New(fs, nfsd.Config{}), rpcnet.ServerOptions{})
+		// A fresh server over an identically built store: captured
+		// handles replay under the identity mapping.
+		fs, _ := traceReplayEnv(perStream)
+		return withLive(fs, nfsd.Config{}, rpcnet.ServerOptions{}, nil, func(l *live) error {
+			st, err := replay.Run(recs, replayOptions(l.srv.Addr(), pt.x))
 			if err != nil {
-				return nil, fmt.Errorf("trace-replay: %w", err)
-			}
-			st, err := replay.Run(recs, replayOptions(srv.Addr(), speed))
-			srv.Close()
-			if err != nil {
-				return nil, fmt.Errorf("trace-replay speed=%d: %w", speed, err)
+				return err
 			}
 			if st.Errors > 0 || st.NFSErrors > 0 {
-				return nil, fmt.Errorf("trace-replay speed=%d: %d transport / %d NFS errors", speed, st.Errors, st.NFSErrors)
+				return fmt.Errorf("%d transport / %d NFS errors", st.Errors, st.NFSErrors)
 			}
-			cells[speed] = append(cells[speed], st)
-			if speed > 0 {
-				want := time.Duration(float64(span) / float64(speed))
-				errPct := 100 * (st.IssueSpan - want).Seconds() / want.Seconds()
-				if errPct < 0 {
-					errPct = -errPct
-				}
-				spans[speed] = append(spans[speed], errPct)
-			} else {
-				spans[speed] = append(spans[speed], 0)
+			pt.put("achieved ops/s", st.OpsPerSec)
+			pt.put("p50 latency (µs)", float64(st.P50.Microseconds()))
+			pt.put("p99 latency (µs)", float64(st.P99.Microseconds()))
+			spanErr := 0.0
+			if pt.x > 0 {
+				want := time.Duration(float64(traceSpan(recs)) / float64(pt.x))
+				spanErr = math.Abs(100 * (st.IssueSpan - want).Seconds() / want.Seconds())
 			}
-		}
+			pt.put("span error (%)", spanErr)
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	for _, speed := range traceReplaySpeeds {
-		var ops, p50, p99 []float64
-		for _, st := range cells[speed] {
-			ops = append(ops, st.OpsPerSec)
-			p50 = append(p50, float64(st.P50.Microseconds()))
-			p99 = append(p99, float64(st.P99.Microseconds()))
-		}
-		opsSeries.Samples = append(opsSeries.Samples, stats.Summarize(ops))
-		p50Series.Samples = append(p50Series.Samples, stats.Summarize(p50))
-		p99Series.Samples = append(p99Series.Samples, stats.Summarize(p99))
-		spanSeries.Samples = append(spanSeries.Samples, stats.Summarize(spans[speed]))
-	}
-	r.Series = append(r.Series, opsSeries, p50Series, p99Series, spanSeries)
-
-	capSum := stats.Summarize(captureOps)
+	capSum := stats.Summarize(caps.ops)
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("captured workload: %d streams, %.0f ops/s mean over %d runs, READ reorder %.2f%%",
-			traceReplayStreams, capSum.Mean, capSum.N, stats.Summarize(captureReorder).Mean),
+			traceReplayStreams, capSum.Mean, capSum.N, stats.Summarize(caps.reorderPct).Mean),
 		"speed 1 = timestamp-faithful (span error is the timing-fidelity check), 0 = as fast as possible",
 		"replays run closed-loop over TCP against a fresh server built identically to the captured one")
-	return r, nil
+	return g.result(), nil
 }

@@ -13,9 +13,11 @@ func TestTraceReplayEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.X) != len(traceReplaySpeeds) {
-		t.Fatalf("X = %v", r.X)
-	}
+	checkShape(t, r, shape{
+		"trace-replay", "Trace capture & replay: achieved load vs replay schedule", "speed", "ops/s, latency (µs), span error (%)",
+		[]int{1, 4, 16, 0},
+		[][2]string{{"achieved ops/s", "higher"}, {"p50 latency (µs)", "lower"}, {"p99 latency (µs)", "lower"}, {"span error (%)", "lower"}},
+	})
 	ops, ok := r.SeriesByLabel("achieved ops/s")
 	if !ok {
 		t.Fatal("ops/s series missing")

@@ -10,7 +10,6 @@ import (
 	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsproto"
 	"nfstricks/internal/rpcnet"
-	"nfstricks/internal/stats"
 	"nfstricks/internal/wgather"
 )
 
@@ -56,19 +55,17 @@ func writePathPattern(buf []byte, i int, off uint64) {
 }
 
 // writePathEnv is one cell's server: a fresh store with one file per
-// client, served through a gathering engine with the given window and
-// a throttled sink whose inner MemSink retains the stable image for
-// integrity checks.
+// client, served through a gathering engine whose throttled sink has an
+// inner MemSink retaining the stable image for integrity checks.
 type writePathEnv struct {
-	fs   *memfs.FS
-	svc  *nfsd.Service
-	mem  *wgather.MemSink
-	addr string
-	fhs  []nfsproto.FH
-	stop func()
+	*live
+	mem *wgather.MemSink
+	fhs []nfsproto.FH
 }
 
-func newWritePathEnv(window time.Duration, sinkLatency time.Duration, perClient int) (*writePathEnv, error) {
+// withWritePathEnv runs body against a writePathEnv with the given
+// gather window and per-flush sink latency.
+func withWritePathEnv(window, sinkLatency time.Duration, perClient int, body func(*writePathEnv) error) error {
 	fs := memfs.NewFS()
 	fhs := make([]nfsproto.FH, writePathClients)
 	for i := range fhs {
@@ -77,17 +74,13 @@ func newWritePathEnv(window time.Duration, sinkLatency time.Duration, perClient 
 		fhs[i], _ = fs.Create(memfs.RootFH, fmt.Sprintf("w%d", i), make([]byte, perClient))
 	}
 	mem := wgather.NewMemSink()
-	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{
+	cfg := nfsd.Config{Gather: wgather.Config{
 		Window: window,
 		Sink:   &wgather.ThrottledSink{Inner: mem, Latency: sinkLatency},
-	}})
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
-	if err != nil {
-		svc.Close()
-		return nil, err
-	}
-	return &writePathEnv{fs: fs, svc: svc, mem: mem, addr: srv.Addr(), fhs: fhs,
-		stop: func() { srv.Close(); svc.Close() }}, nil
+	}}
+	return withLive(fs, cfg, rpcnet.ServerOptions{}, nil, func(l *live) error {
+		return body(&writePathEnv{live: l, mem: mem, fhs: fhs})
+	})
 }
 
 // latPct returns the p-th percentile of ds (sorted in place).
@@ -99,11 +92,15 @@ func latPct(ds []time.Duration, p float64) time.Duration {
 	return ds[int(p*float64(len(ds)-1))]
 }
 
-// runFileSync drives the synchronous baseline: every client writes its
-// file sequentially with FILE_SYNC, paying the sink's flush cost once
-// per RPC. Returns achieved aggregate ops/s and per-WRITE reply
-// latencies.
-func runFileSync(env *writePathEnv, perClient int) (float64, []time.Duration, error) {
+// writeAll drives every client's file concurrently, each from its own
+// TCP client, written sequentially in writePathChunk pieces: FILE_SYNC
+// writes, paying the sink's flush cost once per RPC (the synchronous
+// baseline), or with unstable, UNSTABLE writes through a write-behind
+// window with a COMMIT every writePathCommitEvery writes (the biod
+// shape). It returns aggregate ops/s, COMMITs included, and per-WRITE
+// latencies; an unstable write's latency is the pipelined client's
+// issue-to-issue slot time.
+func writeAll(env *writePathEnv, perClient int, unstable bool) (float64, []time.Duration, error) {
 	type res struct {
 		lats []time.Duration
 		err  error
@@ -114,81 +111,33 @@ func runFileSync(env *writePathEnv, perClient int) (float64, []time.Duration, er
 		go func(i int) {
 			var r res
 			r.err = func() error {
-				c, err := memfs.DialClient("tcp", env.addr)
+				c, err := memfs.DialClient("tcp", env.srv.Addr())
 				if err != nil {
 					return err
 				}
 				defer c.Close()
+				write := func(off uint64, buf []byte) error { return c.Write(env.fhs[i], off, buf) }
+				commit := func() error { return nil }
+				if unstable {
+					wb := c.NewWriteBehind(env.fhs[i], writeBehindWindow)
+					write = wb.Write
+					commit = func() error { _, err := wb.Commit(); return err }
+				}
 				buf := make([]byte, writePathChunk)
-				for off := uint64(0); off < uint64(perClient); off += writePathChunk {
+				for n, off := 1, uint64(0); off < uint64(perClient); n, off = n+1, off+writePathChunk {
 					writePathPattern(buf, i, off)
 					issued := time.Now()
-					if err := c.Write(env.fhs[i], off, buf); err != nil {
+					if err := write(off, buf); err != nil {
 						return err
 					}
 					r.lats = append(r.lats, time.Since(issued))
-				}
-				return nil
-			}()
-			results <- r
-		}(i)
-	}
-	var lats []time.Duration
-	var firstErr error
-	for i := 0; i < writePathClients; i++ {
-		r := <-results
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		lats = append(lats, r.lats...)
-	}
-	elapsed := time.Since(t0)
-	if firstErr != nil {
-		return 0, nil, firstErr
-	}
-	ops := writePathClients * (perClient / writePathChunk)
-	return float64(ops) / elapsed.Seconds(), lats, nil
-}
-
-// runUnstable drives the asynchronous pipeline: every client streams
-// UNSTABLE writes through a write-behind window and COMMITs every
-// writePathCommitEvery writes — the biod shape. Returns aggregate
-// ops/s (WRITEs plus COMMITs) and per-WRITE issue-to-issue latencies
-// (what the pipelined client observes per request slot).
-func runUnstable(env *writePathEnv, perClient int) (float64, []time.Duration, error) {
-	type res struct {
-		lats []time.Duration
-		err  error
-	}
-	results := make(chan res, writePathClients)
-	t0 := time.Now()
-	for i := 0; i < writePathClients; i++ {
-		go func(i int) {
-			var r res
-			r.err = func() error {
-				c, err := memfs.DialClient("tcp", env.addr)
-				if err != nil {
-					return err
-				}
-				defer c.Close()
-				wb := c.NewWriteBehind(env.fhs[i], writeBehindWindow)
-				buf := make([]byte, writePathChunk)
-				n := 0
-				for off := uint64(0); off < uint64(perClient); off += writePathChunk {
-					writePathPattern(buf, i, off)
-					issued := time.Now()
-					if err := wb.Write(off, buf); err != nil {
-						return err
-					}
-					r.lats = append(r.lats, time.Since(issued))
-					if n++; n%writePathCommitEvery == 0 {
-						if _, err := wb.Commit(); err != nil {
+					if unstable && n%writePathCommitEvery == 0 {
+						if err := commit(); err != nil {
 							return err
 						}
 					}
 				}
-				_, err = wb.Commit()
-				return err
+				return commit()
 			}()
 			results <- r
 		}(i)
@@ -206,9 +155,11 @@ func runUnstable(env *writePathEnv, perClient int) (float64, []time.Duration, er
 	if firstErr != nil {
 		return 0, nil, firstErr
 	}
-	writes := perClient / writePathChunk
-	commits := writes/writePathCommitEvery + 1
-	return float64(writePathClients*(writes+commits)) / elapsed.Seconds(), lats, nil
+	ops := perClient / writePathChunk
+	if unstable {
+		ops += ops/writePathCommitEvery + 1
+	}
+	return float64(writePathClients*ops) / elapsed.Seconds(), lats, nil
 }
 
 // runHotspot rewrites one hot region UNSTABLE many times before a
@@ -217,11 +168,7 @@ func runUnstable(env *writePathEnv, perClient int) (float64, []time.Duration, er
 // other inside the window. Returns the flushed/gathered percentage
 // (lower = more coalescing).
 func runHotspot(env *writePathEnv) (float64, error) {
-	c, err := memfs.DialClient("tcp", env.addr)
-	if err != nil {
-		return 0, err
-	}
-	defer c.Close()
+	c := env.c
 	before := env.svc.WriteStats()
 	const passes = 8
 	const region = 16 * writePathChunk
@@ -274,42 +221,31 @@ func checkWriteThroughEquivalence() error {
 	fs := memfs.NewFS()
 	fh, _ := fs.Create(memfs.RootFH, "sync", nil)
 	mem := wgather.NewMemSink()
-	svc := nfsd.New(fs, nfsd.Config{Gather: wgather.Config{Window: 0, Sink: mem}})
-	srv, err := nfsd.NewServer("127.0.0.1:0", svc, rpcnet.ServerOptions{})
-	if err != nil {
-		svc.Close()
-		return err
-	}
-	defer func() { srv.Close(); svc.Close() }()
-	c, err := memfs.DialClient("tcp", srv.Addr())
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-
-	const writes = 64
-	want := make([]byte, writes*writePathChunk)
-	buf := make([]byte, writePathChunk)
-	for i := 0; i < writes; i++ {
-		off := uint64(i * writePathChunk)
-		writePathPattern(buf, 0, off)
-		copy(want[off:], buf)
-		res, err := c.WriteStable(fh, off, buf, nfsproto.WriteUnstable)
-		if err != nil {
-			return err
+	cfg := nfsd.Config{Gather: wgather.Config{Window: 0, Sink: mem}}
+	return withLive(fs, cfg, rpcnet.ServerOptions{}, nil, func(l *live) error {
+		const writes = 64
+		want := make([]byte, writes*writePathChunk)
+		buf := make([]byte, writePathChunk)
+		for i := 0; i < writes; i++ {
+			off := uint64(i * writePathChunk)
+			writePathPattern(buf, 0, off)
+			copy(want[off:], buf)
+			res, err := l.c.WriteStable(fh, off, buf, nfsproto.WriteUnstable)
+			if err != nil {
+				return err
+			}
+			if res.Committed != nfsproto.WriteFileSync {
+				return fmt.Errorf("write-path: zero window advertised stability %d, want FILE_SYNC", res.Committed)
+			}
 		}
-		if res.Committed != nfsproto.WriteFileSync {
-			return fmt.Errorf("write-path: zero window advertised stability %d, want FILE_SYNC", res.Committed)
+		if st := l.svc.WriteStats(); st.Flushes != writes {
+			return fmt.Errorf("write-path: zero window made %d flushes for %d writes, want one per write", st.Flushes, writes)
 		}
-	}
-	st := svc.WriteStats()
-	if st.Flushes != writes {
-		return fmt.Errorf("write-path: zero window made %d flushes for %d writes, want one per write", st.Flushes, writes)
-	}
-	if got := mem.Bytes(uint64(fh)); !bytes.Equal(got, want) {
-		return fmt.Errorf("write-path: zero-window stable image differs from written data")
-	}
-	return nil
+		if got := mem.Bytes(uint64(fh)); !bytes.Equal(got, want) {
+			return fmt.Errorf("write-path: zero-window stable image differs from written data")
+		}
+		return nil
+	})
 }
 
 // WritePath is the asynchronous-write-pipeline experiment: it sweeps
@@ -326,10 +262,7 @@ func checkWriteThroughEquivalence() error {
 // sink.
 func WritePath(p Params) (*Result, error) {
 	p.fill()
-	perClient := writePathBytes / p.Scale
-	if perClient < 8*writePathChunk {
-		perClient = 8 * writePathChunk
-	}
+	perClient := max(writePathBytes/p.Scale, 8*writePathChunk)
 	// Round to whole chunks.
 	perClient -= perClient % writePathChunk
 
@@ -342,87 +275,63 @@ func WritePath(p Params) (*Result, error) {
 		XLabel: "window (ms)", YLabel: "ops/s, latency (µs), flushes per 1k writes, flushed/gathered (%)",
 		X: writePathWindows,
 	}
-	series := map[string]*Series{}
-	order := []string{}
-	addSeries := func(label string, better string) *Series {
-		s := &Series{Label: label, Better: better}
-		series[label] = s
-		order = append(order, label)
-		return s
+	type cell struct {
+		sink     string
+		latency  time.Duration
+		unstable bool
 	}
+	var cells []cell
+	g := newGrid(r)
 	for _, sk := range writePathSinks {
-		addSeries("filesync ops/s ("+sk.label+" sink)", BetterHigher)
-		addSeries("unstable+commit ops/s ("+sk.label+" sink)", BetterHigher)
+		cells = append(cells, cell{sk.label, sk.latency, false}, cell{sk.label, sk.latency, true})
+		g.series(BetterHigher, "filesync ops/s ("+sk.label+" sink)", "unstable+commit ops/s ("+sk.label+" sink)")
 	}
-	addSeries("filesync write p99 (µs, slow sink)", BetterLower)
-	addSeries("unstable write p50 (µs, slow sink)", BetterLower)
-	addSeries("unstable write p99 (µs, slow sink)", BetterLower)
-	addSeries("sink flushes per 1k writes", BetterLower)
-	addSeries("hotspot flushed/gathered (%)", BetterLower)
-
-	for _, winMS := range writePathWindows {
-		window := time.Duration(winMS) * time.Millisecond
-		acc := map[string][]float64{}
-		for run := 0; run < p.Runs; run++ {
-			for _, sk := range writePathSinks {
-				// Synchronous baseline.
-				env, err := newWritePathEnv(window, sk.latency, perClient)
-				if err != nil {
-					return nil, fmt.Errorf("write-path: %w", err)
-				}
-				ops, lats, err := runFileSync(env, perClient)
-				if err == nil {
-					err = verifyStable(env, perClient)
-				}
-				env.stop()
-				if err != nil {
-					return nil, fmt.Errorf("write-path filesync window=%dms sink=%s: %w", winMS, sk.label, err)
-				}
-				acc["filesync ops/s ("+sk.label+" sink)"] = append(acc["filesync ops/s ("+sk.label+" sink)"], ops)
-				if sk.label == "slow" {
-					acc["filesync write p99 (µs, slow sink)"] = append(acc["filesync write p99 (µs, slow sink)"],
-						float64(latPct(lats, 0.99).Microseconds()))
-				}
-
-				// Asynchronous pipeline on a fresh server.
-				env, err = newWritePathEnv(window, sk.latency, perClient)
-				if err != nil {
-					return nil, fmt.Errorf("write-path: %w", err)
-				}
-				ops, lats, err = runUnstable(env, perClient)
-				if err == nil {
-					err = verifyStable(env, perClient)
-				}
-				if err == nil && sk.label == "slow" {
-					st := env.svc.WriteStats()
-					writes := st.WritesUnstable + st.WritesDataSync + st.WritesFileSync
-					if writes > 0 {
-						acc["sink flushes per 1k writes"] = append(acc["sink flushes per 1k writes"],
-							1000*float64(st.Flushes)/float64(writes))
-					}
-					acc["unstable write p50 (µs, slow sink)"] = append(acc["unstable write p50 (µs, slow sink)"],
-						float64(latPct(lats, 0.50).Microseconds()))
-					acc["unstable write p99 (µs, slow sink)"] = append(acc["unstable write p99 (µs, slow sink)"],
-						float64(latPct(lats, 0.99).Microseconds()))
-					var pct float64
-					pct, err = runHotspot(env)
-					if err == nil {
-						acc["hotspot flushed/gathered (%)"] = append(acc["hotspot flushed/gathered (%)"], pct)
-					}
-				}
-				env.stop()
-				if err != nil {
-					return nil, fmt.Errorf("write-path unstable window=%dms sink=%s: %w", winMS, sk.label, err)
-				}
-				acc["unstable+commit ops/s ("+sk.label+" sink)"] = append(acc["unstable+commit ops/s ("+sk.label+" sink)"], ops)
+	g.series(BetterLower, "filesync write p99 (µs, slow sink)", "unstable write p50 (µs, slow sink)",
+		"unstable write p99 (µs, slow sink)", "sink flushes per 1k writes", "hotspot flushed/gathered (%)")
+	name := func(c cell) string {
+		if c.unstable {
+			return "unstable " + c.sink
+		}
+		return "filesync " + c.sink
+	}
+	err := sweep(p, g, r.X, cells, name, func(c cell, pt point) error {
+		window := time.Duration(pt.x) * time.Millisecond
+		return withWritePathEnv(window, c.latency, perClient, func(env *writePathEnv) error {
+			ops, lats, err := writeAll(env, perClient, c.unstable)
+			if err == nil {
+				err = verifyStable(env, perClient)
 			}
-		}
-		for _, label := range order {
-			series[label].Samples = append(series[label].Samples, stats.Summarize(acc[label]))
-		}
-	}
-	for _, label := range order {
-		r.Series = append(r.Series, *series[label])
+			if err != nil {
+				return err
+			}
+			slow := c.sink == "slow"
+			if !c.unstable {
+				pt.put("filesync ops/s ("+c.sink+" sink)", ops)
+				if slow {
+					pt.put("filesync write p99 (µs, slow sink)", float64(latPct(lats, 0.99).Microseconds()))
+				}
+				return nil
+			}
+			pt.put("unstable+commit ops/s ("+c.sink+" sink)", ops)
+			if !slow {
+				return nil
+			}
+			st := env.svc.WriteStats()
+			if writes := st.WritesUnstable + st.WritesDataSync + st.WritesFileSync; writes > 0 {
+				pt.put("sink flushes per 1k writes", 1000*float64(st.Flushes)/float64(writes))
+			}
+			pt.put("unstable write p50 (µs, slow sink)", float64(latPct(lats, 0.50).Microseconds()))
+			pt.put("unstable write p99 (µs, slow sink)", float64(latPct(lats, 0.99).Microseconds()))
+			pct, err := runHotspot(env)
+			if err != nil {
+				return err
+			}
+			pt.put("hotspot flushed/gathered (%)", pct)
+			return nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	r.Notes = append(r.Notes,
 		fmt.Sprintf("%d clients x %d KB in %d KB FILE_SYNC or UNSTABLE(+COMMIT every %d) writes over loopback TCP",
@@ -431,5 +340,5 @@ func WritePath(p Params) (*Result, error) {
 		"window 0 = write-through: verified bit-for-bit equal to the old synchronous server on the in-memory sink",
 		"unstable write latency is the pipelined per-request slot time (write-behind window 8)",
 	)
-	return r, nil
+	return g.result(), nil
 }

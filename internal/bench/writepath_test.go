@@ -16,6 +16,18 @@ func TestWritePathExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkShape(t, r, shape{
+		"write-path", "Asynchronous write pipeline: gather window x sink speed vs synchronous writes", "window (ms)",
+		"ops/s, latency (µs), flushes per 1k writes, flushed/gathered (%)",
+		[]int{0, 1, 4, 16},
+		[][2]string{
+			{"filesync ops/s (fast sink)", "higher"}, {"unstable+commit ops/s (fast sink)", "higher"},
+			{"filesync ops/s (slow sink)", "higher"}, {"unstable+commit ops/s (slow sink)", "higher"},
+			{"filesync write p99 (µs, slow sink)", "lower"}, {"unstable write p50 (µs, slow sink)", "lower"},
+			{"unstable write p99 (µs, slow sink)", "lower"}, {"sink flushes per 1k writes", "lower"},
+			{"hotspot flushed/gathered (%)", "lower"},
+		},
+	})
 	sync, ok1 := r.SeriesByLabel("filesync ops/s (slow sink)")
 	unst, ok2 := r.SeriesByLabel("unstable+commit ops/s (slow sink)")
 	fl, ok3 := r.SeriesByLabel("sink flushes per 1k writes")

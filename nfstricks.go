@@ -54,6 +54,7 @@ import (
 	"nfstricks/internal/nfsd"
 	"nfstricks/internal/nfsheur"
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/nfsserver"
 	"nfstricks/internal/nfstrace"
 	"nfstricks/internal/obs"
 	"nfstricks/internal/readahead"
@@ -118,6 +119,9 @@ type (
 	// Options selects disk, partition, scheduler, TCQ, transport,
 	// heuristics and client load.
 	Options = testbed.Options
+	// ServerConfig tunes the simulated NFS server (Options.Server): its
+	// read-ahead heuristic, nfsheur table and read-ahead window.
+	ServerConfig = nfsserver.Config
 	// DiskKind names one of the paper's drives.
 	DiskKind = testbed.DiskKind
 )
