@@ -80,7 +80,7 @@ func faultCell(network string, lossPct int, drcOn bool, triplets, run int, p Par
 		inj = rpcnet.NewFaultInjector(cfg)
 	}
 	dial := func(addr string) (*memfs.Client, error) {
-		return memfs.DialClientRetry(network, addr, faultRetryPolicy(run, p), nil)
+		return memfs.DialClientRetry(network, addr, faultRetryPolicy(run, p))
 	}
 	cfg := nfsd.Config{DRC: nfsd.DRCConfig{Enabled: drcOn}}
 	err := withLive(memfs.NewFS(), cfg, rpcnet.ServerOptions{Faults: inj}, dial, func(l *live) error {

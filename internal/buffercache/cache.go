@@ -8,7 +8,6 @@ package buffercache
 
 import (
 	"container/list"
-	"time"
 
 	"nfstricks/internal/disk"
 	"nfstricks/internal/sim"
@@ -216,7 +215,3 @@ func (c *Cache) insert(lba int64) {
 		c.stats.Evictions++
 	}
 }
-
-// AvgDiskWait exposes the driver's mean request latency, a useful
-// diagnostic when calibrating experiments.
-func (c *Cache) AvgDiskWait() time.Duration { return c.dr.AvgWait() }

@@ -120,9 +120,6 @@ func (d *Device) HeadLBA() int64 {
 	return d.lastEnd
 }
 
-// QueueLen reports the number of commands queued inside the device.
-func (d *Device) QueueLen() int { return len(d.queue) }
-
 // Start accepts a command. The caller (host driver) is responsible for
 // respecting QueueDepth; the device itself queues without limit.
 func (d *Device) Start(r *Request) {

@@ -584,10 +584,9 @@ func DialClient(network, addr string) (*Client, error) {
 // call: retransmission under the same XID (so a server-side duplicate
 // request cache recognizes retries), RTT-estimated timeouts,
 // exponential backoff and a major timeout after policy.MaxTransmits
-// rounds. faults, when non-nil, injects wire faults on this client's
-// directions (rpcnet.DialFault).
-func DialClientRetry(network, addr string, policy rpcnet.RetryPolicy, faults *rpcnet.FaultInjector) (*Client, error) {
-	rc, err := rpcnet.DialFault(network, addr, nfsproto.Program, nfsproto.Version3, faults)
+// rounds.
+func DialClientRetry(network, addr string, policy rpcnet.RetryPolicy) (*Client, error) {
+	rc, err := rpcnet.Dial(network, addr, nfsproto.Program, nfsproto.Version3)
 	if err != nil {
 		return nil, err
 	}
@@ -621,23 +620,8 @@ func (e *statusErr) Error() string {
 }
 
 func (e *statusErr) Is(target error) bool {
-	switch e.status {
-	case nfsproto.ErrNoEnt:
-		return target == vfs.ErrNoEnt
-	case nfsproto.ErrExist:
-		return target == vfs.ErrExist
-	case nfsproto.ErrNotDir:
-		return target == vfs.ErrNotDir
-	case nfsproto.ErrIsDir:
-		return target == vfs.ErrIsDir
-	case nfsproto.ErrNotEmpty:
-		return target == vfs.ErrNotEmpty
-	case nfsproto.ErrBadCookie:
-		return target == vfs.ErrBadCookie
-	case nfsproto.ErrStale:
-		return target == vfs.ErrStale
-	}
-	return false
+	sentinel := vfs.StatusErr(e.status)
+	return sentinel != nil && target == sentinel
 }
 
 func statusError(op string, status uint32) error {
@@ -910,24 +894,6 @@ func (c *Client) Readdir(dir nfsproto.FH, cookie, cookieverf uint64, count uint3
 	}
 	if res.Status != nfsproto.OK {
 		return nil, statusError("readdir", res.Status)
-	}
-	return res, nil
-}
-
-// Readdirplus is Readdir with per-entry attributes and handles.
-func (c *Client) Readdirplus(dir nfsproto.FH, cookie, cookieverf uint64, dirCount, maxCount uint32) (*nfsproto.ReaddirplusRes, error) {
-	body, err := c.call(nfsproto.ProcReaddirplus,
-		(&nfsproto.ReaddirplusArgs{Dir: dir, Cookie: cookie, Cookieverf: cookieverf,
-			DirCount: dirCount, MaxCount: maxCount}).Marshal())
-	if err != nil {
-		return nil, err
-	}
-	res, err := nfsproto.UnmarshalReaddirplusRes(body)
-	if err != nil {
-		return nil, err
-	}
-	if res.Status != nfsproto.OK {
-		return nil, statusError("readdirplus", res.Status)
 	}
 	return res, nil
 }

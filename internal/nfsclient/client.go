@@ -17,7 +17,7 @@ import (
 
 	"nfstricks/internal/netsim"
 	"nfstricks/internal/nfsproto"
-	"nfstricks/internal/nfsrpc"
+	"nfstricks/internal/nfsserver"
 	"nfstricks/internal/readahead"
 	"nfstricks/internal/sim"
 )
@@ -111,7 +111,7 @@ type Stats struct {
 
 type pendingCall struct {
 	done    *sim.Event
-	res     nfsrpc.Sized
+	res     nfsserver.Message
 	msg     netsim.Message
 	retries int
 }
@@ -200,7 +200,7 @@ func (m *Mount) Start() error {
 			for {
 				msg := m.conn.Recv(p)
 				m.cpu.Use(p, m.cfg.RecvCPU+time.Duration(segsFor(msg.Size))*m.cfg.PerSegCPU)
-				m.complete(msg.Payload.(nfsrpc.Reply))
+				m.complete(msg.Payload.(nfsserver.Reply))
 			}
 		})
 	} else {
@@ -208,7 +208,7 @@ func (m *Mount) Start() error {
 			for {
 				pkt := m.udp.Recv(p)
 				m.cpu.Use(p, m.cfg.RecvCPU)
-				m.complete(pkt.Msg.Payload.(nfsrpc.Reply))
+				m.complete(pkt.Msg.Payload.(nfsserver.Reply))
 			}
 		})
 	}
@@ -228,7 +228,7 @@ func segsFor(size int) int {
 
 // complete routes a reply to its waiting caller. Unknown XIDs (replies
 // to retransmitted calls that already completed) are dropped.
-func (m *Mount) complete(r nfsrpc.Reply) {
+func (m *Mount) complete(r nfsserver.Reply) {
 	pc, ok := m.pending[r.XID]
 	if !ok {
 		return
@@ -239,13 +239,13 @@ func (m *Mount) complete(r nfsrpc.Reply) {
 }
 
 // call performs one RPC from process p and returns the result.
-func (m *Mount) call(p *sim.Proc, proc uint32, args nfsrpc.Sized) nfsrpc.Sized {
+func (m *Mount) call(p *sim.Proc, proc uint32, args nfsserver.Message) nfsserver.Message {
 	m.stats.Calls++
 	m.nextXID++
 	xid := m.nextXID
 	msg := netsim.Message{
-		Payload: nfsrpc.Call{XID: xid, Proc: proc, Args: args},
-		Size:    nfsrpc.CallSize(args),
+		Payload: nfsserver.Call{XID: xid, Proc: proc, Args: args},
+		Size:    nfsserver.CallSize(args),
 	}
 	pc := &pendingCall{done: sim.NewEvent(m.k), msg: msg}
 	m.pending[xid] = pc
@@ -309,7 +309,7 @@ func (m *Mount) nfsiod(p *sim.Proc) {
 }
 
 // finishFetch installs a fetched block and wakes demand readers.
-func (m *Mount) finishFetch(key blockKey, res nfsrpc.Sized) {
+func (m *Mount) finishFetch(key blockKey, res nfsserver.Message) {
 	if ev, ok := m.inflight[key]; ok {
 		delete(m.inflight, key)
 		ev.Fire()

@@ -31,11 +31,6 @@ import (
 	"nfstricks/internal/wgather"
 )
 
-// DefaultMaxReadAhead caps the per-READ read-ahead window the
-// heuristic may request, in blocks (32 blocks = 256 KB, the simulated
-// server's default).
-const DefaultMaxReadAhead = 32
-
 // Config assembles a Service. The zero value is the live default:
 // SlowDown heuristic, GOMAXPROCS-sharded nfsheur table, synchronous
 // write-through (gather window 0) with durability delegated to the
@@ -51,9 +46,6 @@ type Config struct {
 	// backend — any caller value is ignored. Gather.Sink, when set,
 	// observes every flush before the backend's Commit is charged.
 	Gather wgather.Config
-	// MaxReadAhead caps the heuristic's read-ahead window in blocks
-	// (0 = DefaultMaxReadAhead).
-	MaxReadAhead int
 	// DRC configures the duplicate request cache shielding
 	// non-idempotent procedures (CREATE/MKDIR/REMOVE/RENAME) from
 	// retransmissions. Off by default: a loopback bench with no fault
@@ -106,8 +98,7 @@ type Service struct {
 	// routes through. The default (gather window 0) is write-through:
 	// each write is durable before its reply, the behaviour the live
 	// service had before the engine existed.
-	engine   *wgather.Engine
-	maxAhead int
+	engine *wgather.Engine
 	// dupcache, when non-nil, shields non-idempotent procedures from
 	// retransmissions (see InfoHandler).
 	dupcache *drc.Cache
@@ -170,9 +161,6 @@ func New(b vfs.Backend, cfg Config) *Service {
 	if cfg.Table == nil {
 		cfg.Table = nfsheur.New(nfsheur.ScaledParams())
 	}
-	if cfg.MaxReadAhead <= 0 {
-		cfg.MaxReadAhead = DefaultMaxReadAhead
-	}
 	gcfg := cfg.Gather
 	gcfg.Source = func(fh, off uint64, count uint32) ([]byte, error) {
 		data, _, _, err := b.ReadAt(nfsproto.FH(fh), off, count, 0)
@@ -198,11 +186,10 @@ func New(b vfs.Backend, cfg Config) *Service {
 	// ForkN gives every shard its own heuristic instance (or a safely
 	// shared one), so the service never races on the caller's value.
 	svc := &Service{
-		b:        b,
-		table:    cfg.Table,
-		heur:     readahead.ForkN(cfg.Heuristic, cfg.Table.ShardCount()),
-		engine:   engine,
-		maxAhead: cfg.MaxReadAhead,
+		b:      b,
+		table:  cfg.Table,
+		heur:   readahead.ForkN(cfg.Heuristic, cfg.Table.ShardCount()),
+		engine: engine,
 	}
 	if cfg.DRC.Enabled {
 		svc.dupcache = drc.New(drc.Config{MaxBytes: cfg.DRC.MaxBytes})
@@ -466,34 +453,6 @@ func objAttrs(fh nfsproto.FH, a vfs.Attr) nfsproto.Fattr {
 	return fileAttrs(fh, uint64(a.Size))
 }
 
-// statusOf maps a backend sentinel error to its nfsstat3 code.
-func statusOf(err error) uint32 {
-	switch {
-	case errors.Is(err, vfs.ErrNoEnt):
-		return nfsproto.ErrNoEnt
-	case errors.Is(err, vfs.ErrExist):
-		return nfsproto.ErrExist
-	case errors.Is(err, vfs.ErrNotDir):
-		return nfsproto.ErrNotDir
-	case errors.Is(err, vfs.ErrIsDir):
-		return nfsproto.ErrIsDir
-	case errors.Is(err, vfs.ErrNotEmpty):
-		return nfsproto.ErrNotEmpty
-	case errors.Is(err, vfs.ErrBadCookie):
-		return nfsproto.ErrBadCookie
-	case errors.Is(err, vfs.ErrInval):
-		return nfsproto.ErrInval
-	case errors.Is(err, vfs.ErrTooBig):
-		return nfsproto.ErrFBig
-	case errors.Is(err, vfs.ErrNoSpace):
-		return nfsproto.ErrNoSpc
-	case errors.Is(err, vfs.ErrStale):
-		return nfsproto.ErrStale
-	default:
-		return nfsproto.ErrIO
-	}
-}
-
 func (s *Service) lookup(body, reply []byte) ([]byte, uint32) {
 	args, err := nfsproto.UnmarshalLookupArgs(body)
 	if err != nil {
@@ -501,7 +460,7 @@ func (s *Service) lookup(body, reply []byte) ([]byte, uint32) {
 	}
 	fh, a, lerr := s.b.Lookup(args.Dir, args.Name)
 	if lerr != nil {
-		res := nfsproto.LookupRes{Status: statusOf(lerr)}
+		res := nfsproto.LookupRes{Status: vfs.Status(lerr)}
 		return res.AppendTo(reply), sunrpc.AcceptSuccess
 	}
 	attrs := objAttrs(fh, a)
@@ -561,7 +520,7 @@ func (s *Service) read(sp *obs.Span, body, reply []byte) ([]byte, uint32) {
 	}
 	s.reads.Add(1)
 
-	ahead := readahead.Window(seq, s.maxAhead)
+	ahead := readahead.Window(seq, readahead.DefaultMaxWindow)
 	// Argument decode and heuristic work so far is execute time; the
 	// backend call is its own stage (with disk time carved out by a
 	// SpanReader backend).
@@ -656,7 +615,7 @@ func (s *Service) create(body, reply []byte) ([]byte, uint32) {
 		fh, cerr = s.b.Create(args.Dir, args.Name, make([]byte, args.Size))
 	}
 	if cerr != nil {
-		res := nfsproto.CreateRes{Status: statusOf(cerr)}
+		res := nfsproto.CreateRes{Status: vfs.Status(cerr)}
 		return res.AppendTo(reply), sunrpc.AcceptSuccess
 	}
 	attrs := fileAttrs(fh, args.Size)
@@ -672,7 +631,7 @@ func (s *Service) setattr(body, reply []byte) ([]byte, uint32) {
 		return reply, sunrpc.AcceptGarbageArgs
 	}
 	if serr := s.b.Setattr(args.FH, args.Size); serr != nil {
-		res := nfsproto.SetattrRes{Status: statusOf(serr)}
+		res := nfsproto.SetattrRes{Status: vfs.Status(serr)}
 		return res.AppendTo(reply), sunrpc.AcceptSuccess
 	}
 	a, _ := s.b.Getattr(args.FH)
@@ -688,7 +647,7 @@ func (s *Service) mkdir(body, reply []byte) ([]byte, uint32) {
 	}
 	fh, merr := s.b.Mkdir(args.Dir, args.Name)
 	if merr != nil {
-		res := nfsproto.MkdirRes{Status: statusOf(merr)}
+		res := nfsproto.MkdirRes{Status: vfs.Status(merr)}
 		return res.AppendTo(reply), sunrpc.AcceptSuccess
 	}
 	a, _ := s.b.Getattr(fh)
@@ -708,7 +667,7 @@ func (s *Service) remove(body, reply []byte) ([]byte, uint32) {
 	}
 	removed, rerr := s.b.Remove(args.Dir, args.Name)
 	if rerr != nil {
-		res := nfsproto.RemoveRes{Status: statusOf(rerr)}
+		res := nfsproto.RemoveRes{Status: vfs.Status(rerr)}
 		return res.AppendTo(reply), sunrpc.AcceptSuccess
 	}
 	s.engine.Forget(uint64(removed))
@@ -728,7 +687,7 @@ func (s *Service) rename(body, reply []byte) ([]byte, uint32) {
 	}
 	replaced, rerr := s.b.Rename(args.FromDir, args.FromName, args.ToDir, args.ToName)
 	if rerr != nil {
-		res := nfsproto.RenameRes{Status: statusOf(rerr)}
+		res := nfsproto.RenameRes{Status: vfs.Status(rerr)}
 		return res.AppendTo(reply), sunrpc.AcceptSuccess
 	}
 	if replaced != 0 {
@@ -782,7 +741,7 @@ func (s *Service) readdir(body, reply []byte) ([]byte, uint32) {
 	page, rerr := s.b.Readdir(args.Dir, args.Cookie, args.Cookieverf,
 		readdirCap(budget, direntWire("")))
 	if rerr != nil {
-		res := nfsproto.ReaddirRes{Status: statusOf(rerr)}
+		res := nfsproto.ReaddirRes{Status: vfs.Status(rerr)}
 		return res.AppendTo(reply), sunrpc.AcceptSuccess
 	}
 	used := readdirHeader
@@ -815,7 +774,7 @@ func (s *Service) readdirplus(body, reply []byte) ([]byte, uint32) {
 	page, rerr := s.b.Readdir(args.Dir, args.Cookie, args.Cookieverf,
 		readdirCap(budget, direntWire("")+plusWire))
 	if rerr != nil {
-		res := nfsproto.ReaddirplusRes{Status: statusOf(rerr)}
+		res := nfsproto.ReaddirplusRes{Status: vfs.Status(rerr)}
 		return res.AppendTo(reply), sunrpc.AcceptSuccess
 	}
 	used := readdirHeader

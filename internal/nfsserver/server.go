@@ -13,7 +13,6 @@ import (
 	"nfstricks/internal/netsim"
 	"nfstricks/internal/nfsheur"
 	"nfstricks/internal/nfsproto"
-	"nfstricks/internal/nfsrpc"
 	"nfstricks/internal/nfstrace"
 	"nfstricks/internal/readahead"
 	"nfstricks/internal/sim"
@@ -32,7 +31,7 @@ type Config struct {
 	// Table configures the nfsheur table (default: nfsheur.DefaultParams).
 	Table nfsheur.Params
 	// MaxReadAhead caps the per-READ read-ahead window in blocks
-	// (default 32 = 256 KB).
+	// (default readahead.DefaultMaxWindow = 256 KB).
 	MaxReadAhead int
 	// PerOpCPU is the server CPU cost of one RPC (parse, VFS, UDP
 	// stack, copies). Calibrated so NFS throughput lands at roughly
@@ -58,7 +57,7 @@ func (c *Config) fill() {
 		c.Table = nfsheur.DefaultParams()
 	}
 	if c.MaxReadAhead == 0 {
-		c.MaxReadAhead = 32
+		c.MaxReadAhead = readahead.DefaultMaxWindow
 	}
 	if c.PerOpCPU == 0 {
 		c.PerOpCPU = 300 * time.Microsecond
@@ -79,7 +78,7 @@ type Stats struct {
 
 // request is one inbound RPC with its reply path.
 type request struct {
-	call    nfsrpc.Call
+	call    Call
 	reply   func(netsim.Message)
 	tcpSegs int // segments the request consumed (TCP only)
 	tcp     bool
@@ -153,7 +152,7 @@ func (s *Server) Start() {
 	s.k.Go("nfs-udp-rx", func(p *sim.Proc) {
 		for {
 			pkt := s.udp.Recv(p)
-			call := pkt.Msg.Payload.(nfsrpc.Call)
+			call := pkt.Msg.Payload.(Call)
 			from := pkt.From
 			s.workq.Send(request{
 				call: call,
@@ -169,7 +168,7 @@ func (s *Server) Start() {
 			s.k.Go("nfs-tcp-rx", func(p *sim.Proc) {
 				for {
 					msg := conn.Recv(p)
-					call := msg.Payload.(nfsrpc.Call)
+					call := msg.Payload.(Call)
 					s.workq.Send(request{
 						call:    call,
 						tcp:     true,
@@ -208,19 +207,19 @@ func (s *Server) nfsd(p *sim.Proc) {
 		s.cpu.Use(p, cost)
 
 		res := s.dispatch(p, req.call)
-		size := nfsrpc.ReplySize(res)
+		size := ReplySize(res)
 		if req.tcp {
 			s.cpu.Use(p, time.Duration(segsFor(size))*s.cfg.PerSegCPU)
 		}
 		req.reply(netsim.Message{
-			Payload: nfsrpc.Reply{XID: req.call.XID, Res: res},
+			Payload: Reply{XID: req.call.XID, Res: res},
 			Size:    size,
 		})
 	}
 }
 
 // dispatch executes one NFS procedure.
-func (s *Server) dispatch(p *sim.Proc, call nfsrpc.Call) nfsrpc.Sized {
+func (s *Server) dispatch(p *sim.Proc, call Call) Message {
 	if s.cfg.Tracer != nil {
 		rec := nfstrace.Record{When: s.k.Now(), Proc: call.Proc}
 		switch a := call.Args.(type) {
@@ -285,7 +284,7 @@ func attrsFor(f *ffs.File) *nfsproto.Fattr {
 // nfsheur table supplies (or loses) the file's sequentiality state, the
 // configured heuristic turns the observed offset into a seqcount, and
 // the seqcount sizes the file-system read-ahead.
-func (s *Server) read(p *sim.Proc, args *nfsproto.ReadArgs) nfsrpc.Sized {
+func (s *Server) read(p *sim.Proc, args *nfsproto.ReadArgs) Message {
 	fs, f := s.resolve(args.FH)
 	if f == nil {
 		return &nfsproto.ReadRes{Status: nfsproto.ErrStale}
@@ -326,7 +325,7 @@ func (s *Server) read(p *sim.Proc, args *nfsproto.ReadArgs) nfsrpc.Sized {
 	}
 }
 
-func (s *Server) write(p *sim.Proc, args *nfsproto.WriteArgs) nfsrpc.Sized {
+func (s *Server) write(p *sim.Proc, args *nfsproto.WriteArgs) Message {
 	fs, f := s.resolve(args.FH)
 	if f == nil {
 		return &nfsproto.WriteRes{Status: nfsproto.ErrStale}
@@ -349,7 +348,7 @@ func (s *Server) write(p *sim.Proc, args *nfsproto.WriteArgs) nfsrpc.Sized {
 	}
 }
 
-func (s *Server) lookup(args *nfsproto.LookupArgs) nfsrpc.Sized {
+func (s *Server) lookup(args *nfsproto.LookupArgs) Message {
 	fs := s.resolveDir(args.Dir)
 	if fs == nil {
 		return &nfsproto.LookupRes{Status: nfsproto.ErrStale}
@@ -361,7 +360,7 @@ func (s *Server) lookup(args *nfsproto.LookupArgs) nfsrpc.Sized {
 	return &nfsproto.LookupRes{Status: nfsproto.OK, FH: nfsproto.FH(f.Handle()), Attrs: attrsFor(f)}
 }
 
-func (s *Server) getattr(args *nfsproto.GetattrArgs) nfsrpc.Sized {
+func (s *Server) getattr(args *nfsproto.GetattrArgs) Message {
 	if fs := s.resolveDir(args.FH); fs != nil {
 		return &nfsproto.GetattrRes{Status: nfsproto.OK,
 			Attrs: nfsproto.Fattr{Type: nfsproto.TypeDir, Mode: 0755, Nlink: 2, FileID: uint64(args.FH)}}
@@ -373,7 +372,7 @@ func (s *Server) getattr(args *nfsproto.GetattrArgs) nfsrpc.Sized {
 	return &nfsproto.GetattrRes{Status: nfsproto.OK, Attrs: *attrsFor(f)}
 }
 
-func (s *Server) access(args *nfsproto.AccessArgs) nfsrpc.Sized {
+func (s *Server) access(args *nfsproto.AccessArgs) Message {
 	_, f := s.resolve(args.FH)
 	if f == nil && s.resolveDir(args.FH) == nil {
 		return &nfsproto.AccessRes{Status: nfsproto.ErrStale}
@@ -385,7 +384,7 @@ func (s *Server) access(args *nfsproto.AccessArgs) nfsrpc.Sized {
 	return &nfsproto.AccessRes{Status: nfsproto.OK, Attrs: attrs, Access: args.Access}
 }
 
-func (s *Server) create(args *nfsproto.CreateArgs) nfsrpc.Sized {
+func (s *Server) create(args *nfsproto.CreateArgs) Message {
 	fs := s.resolveDir(args.Dir)
 	if fs == nil {
 		return &nfsproto.CreateRes{Status: nfsproto.ErrStale}
@@ -401,7 +400,7 @@ func (s *Server) create(args *nfsproto.CreateArgs) nfsrpc.Sized {
 	return &nfsproto.CreateRes{Status: nfsproto.OK, FH: nfsproto.FH(f.Handle()), Attrs: attrsFor(f)}
 }
 
-func (s *Server) fsstat(args *nfsproto.GetattrArgs) nfsrpc.Sized {
+func (s *Server) fsstat(args *nfsproto.GetattrArgs) Message {
 	fs := s.resolveDir(args.FH)
 	if fs == nil {
 		return &nfsproto.FsstatRes{Status: nfsproto.ErrStale}

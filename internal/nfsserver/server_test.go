@@ -10,7 +10,6 @@ import (
 	"nfstricks/internal/netsim"
 	"nfstricks/internal/nfsheur"
 	"nfstricks/internal/nfsproto"
-	"nfstricks/internal/nfsrpc"
 	"nfstricks/internal/readahead"
 	"nfstricks/internal/sim"
 )
@@ -48,13 +47,13 @@ func newRig(t *testing.T, cfg Config) *rig {
 }
 
 // rpc sends one call and returns the reply result.
-func (r *rig) rpc(p *sim.Proc, proc uint32, args nfsrpc.Sized) nfsrpc.Sized {
+func (r *rig) rpc(p *sim.Proc, proc uint32, args Message) Message {
 	r.sock.SendTo(r.dst, netsim.Message{
-		Payload: nfsrpc.Call{XID: 1, Proc: proc, Args: args},
-		Size:    nfsrpc.CallSize(args),
+		Payload: Call{XID: 1, Proc: proc, Args: args},
+		Size:    CallSize(args),
 	})
 	pkt := r.sock.Recv(p)
-	return pkt.Msg.Payload.(nfsrpc.Reply).Res
+	return pkt.Msg.Payload.(Reply).Res
 }
 
 func TestLookupAndGetattr(t *testing.T) {

@@ -136,16 +136,6 @@ func (r *Registry) Spans(name string, procs []string) *SpanTable {
 	return t
 }
 
-// SpanTables returns the registered span tables (setup-order).
-func (r *Registry) SpanTables() []*SpanTable {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]*SpanTable(nil), r.spans...)
-}
-
 // Snapshot is one coherent read of the registry, the single source for
 // /statsz JSON, /metrics text, and the final-stats lines.
 type Snapshot struct {

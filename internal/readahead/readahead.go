@@ -317,6 +317,10 @@ func (c *CursorHeuristic) Update(s *State, off, length uint64) int {
 	return nc.SeqCount
 }
 
+// DefaultMaxWindow is the NFS servers' default cap on one READ's
+// read-ahead window, in blocks (32 blocks = 256 KB).
+const DefaultMaxWindow = 32
+
 // Window converts a sequentiality count into a read-ahead window in
 // blocks, capped at maxBlocks. It mirrors how FreeBSD feeds seqcount
 // into cluster_read: more confidence, more read-ahead; a count of zero

@@ -3,6 +3,7 @@ package replay
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -17,15 +18,12 @@ func TestReplayAmplify(t *testing.T) {
 	tg, collect := newTarget(t)
 	src := traceFor(tg, 0)
 	const tenants = 3
-	// PoolSize = stream count: one pooled connection per stream, so the
-	// capture tap sees each tenant×stream as its own server-side stream
-	// and per-stream ordering is checkable. (The default pool would
-	// share 2 sockets across all 6 streams — fewer sockets is the
-	// point of pooling, but it interleaves sequences at the server.)
+	// One connection per tenant×stream, so the capture tap sees each as
+	// its own server-side stream and per-stream ordering is checkable.
 	st, err := Run(src, Options{
 		Network: "tcp", Addr: tg.addr,
-		OpenLoop: true, Amplify: tenants, PoolSize: 2 * tenants,
-		TenantFH: func(tenant int, fh uint64) nfsproto.FH { return nfsproto.FH(fh) },
+		OpenLoop: true, Amplify: tenants,
+		Dial: dedicatedDial(t, tg.addr),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,37 +79,13 @@ func TestReplayAmplify(t *testing.T) {
 	}
 }
 
-// TestReplayAmplifyPoolsConnections: an explicit pool bounds the
-// socket count no matter the amplification factor.
-func TestReplayAmplifyPoolsConnections(t *testing.T) {
-	tg, _ := newTarget(t)
-	src := traceFor(tg, 0)
-	pool := NewPool("tcp", tg.addr, 3, 5*time.Second)
-	defer pool.Close()
-	st, err := Run(src, Options{
-		Network: "tcp", Addr: tg.addr,
-		OpenLoop: true, Amplify: 8,
-		Dial: pool.Dial,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Errors != 0 || st.NFSErrors != 0 {
-		t.Fatalf("errors: %+v", st)
-	}
-	if got := pool.Conns(); got != 3 {
-		t.Fatalf("pool opened %d connections, want 3 (16 streams shared)", got)
-	}
-}
-
-// TestPoolSurfacesExhaustionTyped: a dial failing with resource
+// TestReplaySurfacesDialExhaustionTyped: a dial failing with resource
 // exhaustion fails the run immediately with the typed error — no
 // hang, no silent retry.
-func TestPoolSurfacesExhaustionTyped(t *testing.T) {
+func TestReplaySurfacesDialExhaustionTyped(t *testing.T) {
 	tg, _ := newTarget(t)
 	src := traceFor(tg, 0)
-	pool := NewPool("tcp", tg.addr, 4, 0)
-	pool.dialFn = func(network, addr string) (*rpcnet.Client, error) {
+	exhausted := func(uint32) (Transport, error) {
 		return nil, fmt.Errorf("rpcnet: %w: dial tcp: %v",
 			rpcnet.ErrConnExhausted, syscall.EADDRNOTAVAIL)
 	}
@@ -119,7 +93,7 @@ func TestPoolSurfacesExhaustionTyped(t *testing.T) {
 	go func() {
 		_, err := Run(src, Options{
 			Network: "tcp", Addr: tg.addr,
-			Amplify: 4, Dial: pool.Dial,
+			Amplify: 4, Dial: exhausted,
 		})
 		done <- err
 	}()
@@ -130,5 +104,27 @@ func TestPoolSurfacesExhaustionTyped(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("replay hung on exhausted dial")
+	}
+}
+
+// dedicatedDial is a replay Dial that opens a fresh connection per
+// stream; the test closes them all at cleanup.
+func dedicatedDial(t *testing.T, addr string) func(uint32) (Transport, error) {
+	var mu sync.Mutex
+	var conns []*rpcnet.Client
+	t.Cleanup(func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	return func(uint32) (Transport, error) {
+		c, err := rpcnet.Dial("tcp", addr, nfsproto.Program, nfsproto.Version3)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		conns = append(conns, c)
+		mu.Unlock()
+		return conn{c}, nil
 	}
 }

@@ -68,9 +68,6 @@ type Options struct {
 	// Window bounds outstanding requests per stream in open loop
 	// (default 128).
 	Window int
-	// MapFH remaps captured file handles to the target server's (nil =
-	// identity, for replays against the same store).
-	MapFH func(uint64) nfsproto.FH
 	// Timeout bounds each reply wait (default 10s).
 	Timeout time.Duration
 	// Amplify replays the trace as this many independent tenants
@@ -79,23 +76,19 @@ type Options struct {
 	// becomes an M× cluster-scale load. Combined with Scaled timing
 	// (K× speed) this is the paper-honest way to scale load: the op
 	// mix, per-stream ordering and burstiness stay those of the
-	// capture, only the tenant count and clock change.
+	// capture, only the tenant count and clock change. Amplify > 1
+	// needs a Dial: one dedicated connection per tenant×stream would
+	// exhaust ephemeral ports.
 	Amplify int
 	// TenantFH remaps a captured handle for one tenant, giving each
-	// tenant its own file set (nil = MapFH for every tenant, so
-	// tenants share files).
+	// tenant its own file set (nil = identity, for replays against the
+	// same store; tenants then share files).
 	TenantFH func(tenant int, fh uint64) nfsproto.FH
 	// Dial supplies the transport for a replay stream (nil = dedicated
-	// rpcnet connection per stream to Network/Addr — except under
-	// amplification, where streams share a Pool of PoolSize
-	// connections; dialing per tenant×stream exhausts ephemeral
-	// ports). Transports returned by a custom Dial are not closed by
-	// Run; their owner closes them.
+	// rpcnet connection per stream to Network/Addr). Transports
+	// returned by a custom Dial are not closed by Run; their owner
+	// closes them.
 	Dial func(stream uint32) (Transport, error)
-	// PoolSize bounds the automatic pool used when Amplify > 1 and
-	// Dial is nil (default: one connection per captured stream, capped
-	// at 16).
-	PoolSize int
 }
 
 // Pending is one in-flight replayed call. *rpcnet.Pending satisfies
@@ -162,6 +155,9 @@ func (o *Options) fill() error {
 	}
 	if o.Amplify <= 0 {
 		o.Amplify = 1
+	}
+	if o.Amplify > 1 && o.Dial == nil {
+		return fmt.Errorf("replay: Amplify %d needs a Dial", o.Amplify)
 	}
 	return nil
 }
@@ -249,34 +245,19 @@ func Run(records []tracefile.Record, opts Options) (*Stats, error) {
 		sort.SliceStable(recs, func(i, j int) bool { return recs[i].When < recs[j].When })
 	}
 
-	// Transport plumbing: a custom Dial wins; otherwise amplified runs
-	// share a bounded pool (tenants must not multiply the dial count)
-	// and plain runs keep a dedicated connection per stream.
+	// Transport plumbing: a custom Dial wins; otherwise each stream
+	// gets a dedicated connection, closed when the stream ends.
 	dial := opts.Dial
 	ownTransports := dial == nil
 	if dial == nil {
-		if opts.Amplify > 1 {
-			size := opts.PoolSize
-			if size <= 0 {
-				size = len(order)
-				if size > 16 {
-					size = 16
-				}
-			}
-			pool := NewPool(opts.Network, opts.Addr, size, opts.Timeout)
-			defer pool.Close()
-			dial = pool.Dial
-			ownTransports = false // pool.Close owns the connections
-		} else {
-			dial = func(uint32) (Transport, error) { return dialConn(&opts) }
-		}
+		dial = func(uint32) (Transport, error) { return dialConn(&opts) }
 	}
 
 	start := time.Now()
 	results := make(chan streamResult, len(order)*opts.Amplify)
 	var wg sync.WaitGroup
 	for tenant := 0; tenant < opts.Amplify; tenant++ {
-		mapFH := opts.MapFH
+		var mapFH func(uint64) nfsproto.FH
 		if opts.TenantFH != nil {
 			t := tenant
 			mapFH = func(fh uint64) nfsproto.FH { return opts.TenantFH(t, fh) }
@@ -284,8 +265,8 @@ func Run(records []tracefile.Record, opts Options) (*Stats, error) {
 		for i, id := range order {
 			wg.Add(1)
 			// Distinct transport identity per (tenant, stream) so a
-			// pool can spread them; record order within the stream is
-			// preserved per goroutine exactly as before.
+			// Dial can spread them; record order within the stream is
+			// preserved per goroutine.
 			streamID := uint32(tenant*len(order) + i)
 			go func(recs []tracefile.Record, streamID uint32, mapFH func(uint64) nfsproto.FH) {
 				defer wg.Done()

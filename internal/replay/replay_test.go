@@ -317,6 +317,7 @@ func TestOptionsValidation(t *testing.T) {
 		{Addr: "x", Network: "sctp"},           // bad network
 		{Addr: "x", Timing: Scaled},            // scaled without speed
 		{Addr: "x", Timing: Scaled, Speed: -1}, // negative speed
+		{Addr: "x", Amplify: 2},                // amplified without a Dial
 	} {
 		if _, err := Run(recs, opts); err == nil {
 			t.Fatalf("options %+v accepted", opts)

@@ -2,10 +2,11 @@
 // comparisons are really comparisons of failure behaviour — what
 // happens when a datagram is lost and the client retransmits — but a
 // loopback socket never loses anything. FaultInjector makes the live
-// transports lossy on purpose: a deterministic, seeded policy pluggable
-// into both the server and the client, deciding per message whether to
-// drop, delay, duplicate or truncate a datagram (UDP) or to stall
-// mid-record or reset the connection (TCP), with per-direction counters
+// transports lossy on purpose: a deterministic, seeded policy plugged
+// into the server's two wire directions (requests in, replies out),
+// deciding per message whether to drop, delay, duplicate or truncate a
+// datagram (UDP) or to stall mid-record or reset the connection (TCP),
+// with per-direction counters
 // so every experiment can report exactly what faults were injected —
 // the controlled fault load the benchmarking-crimes literature demands
 // instead of "we ran it on a busy network".
@@ -53,8 +54,8 @@ func (c FaultConfig) enabled() bool {
 		c.TruncateProb > 0 || c.StallProb > 0 || c.ResetProb > 0
 }
 
-// Directions for FaultStats: inbound is what the injector's owner
-// receives, outbound what it sends.
+// Directions for FaultStats: inbound is the requests the server
+// receives, outbound the replies it sends.
 const (
 	DirIn = iota
 	DirOut
@@ -101,7 +102,7 @@ func (c *faultCounters) snapshot() FaultStats {
 }
 
 // FaultInjector draws per-message fault decisions from a seeded stream.
-// One injector may be shared by a server and any number of clients; the
+// The server consults it from every connection and datagram handler; the
 // decision stream is serialized under a mutex, the counters are
 // atomics. Safe for concurrent use.
 type FaultInjector struct {

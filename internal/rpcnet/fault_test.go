@@ -167,26 +167,6 @@ func TestFaultyUDPServerAllDrops(t *testing.T) {
 	}
 }
 
-// TestFaultyClientSideDrops: the injector also plugs into the client —
-// with every outbound datagram dropped at the client socket, calls time
-// out and the client's own counters show the loss.
-func TestFaultyClientSideDrops(t *testing.T) {
-	s := startServer(t)
-	inj := NewFaultInjector(FaultConfig{Seed: 11, DropProb: 1})
-	c, err := DialFault("udp", s.Addr(), 100003, 3, inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetTimeout(150 * time.Millisecond)
-	if _, err := c.Call(1, []byte("x")); !errors.Is(err, ErrReplyTimeout) {
-		t.Fatalf("call = %v, want ErrReplyTimeout", err)
-	}
-	if st := inj.Stats(DirOut); st.Drops != 1 {
-		t.Fatalf("client outbound stats %v, want 1 drop", st)
-	}
-}
-
 // TestFaultDuplicateDeliveryIsHarmless: with every inbound datagram
 // duplicated at the server, the handler runs twice per call but the
 // client's XID demultiplexer discards the second reply — calls still

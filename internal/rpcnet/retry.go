@@ -108,9 +108,6 @@ func (c *Client) NewRetrier(p RetryPolicy) *Retrier {
 	return &Retrier{c: c, p: p, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Policy returns the retrier's (defaulted) policy.
-func (r *Retrier) Policy() RetryPolicy { return r.p }
-
 // Stats returns a snapshot of the retrier's counters.
 func (r *Retrier) Stats() RetryStats {
 	return RetryStats{

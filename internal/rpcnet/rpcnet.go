@@ -562,15 +562,14 @@ func (s *Server) process(msg []byte, out []byte, ev *TapEvent, info CallInfo) (r
 // all in flight at once over the single connection — a writer goroutine
 // serializes sends, a reader goroutine demultiplexes replies to the
 // matching call by XID, and each call waits only on its own reply (or
-// its context). There is no one-outstanding-call lock.
+// its deadline). There is no one-outstanding-call lock.
 type Client struct {
 	network string
 	conn    net.Conn
 	prog    uint32
 	vers    uint32
 	xid     atomic.Uint32
-	timeout atomic.Int64   // per-call deadline for Call, in nanoseconds
-	faults  *FaultInjector // nil = perfect network
+	timeout atomic.Int64 // per-call deadline for Call, in nanoseconds
 
 	sendCh  chan wireMsg
 	closeCh chan struct{} // closed once, by Close or transport failure
@@ -597,14 +596,6 @@ type callReply struct {
 
 // Dial connects to an RPC server. network is "udp" or "tcp".
 func Dial(network, addr string, prog, vers uint32) (*Client, error) {
-	return DialFault(network, addr, prog, vers, nil)
-}
-
-// DialFault is Dial with a fault injector applied to this client's wire
-// directions: outbound calls and inbound replies. A nil injector is
-// exactly Dial. Client and server may share one injector (one decision
-// stream) or carry their own.
-func DialFault(network, addr string, prog, vers uint32, faults *FaultInjector) (*Client, error) {
 	if network != "udp" && network != "tcp" {
 		return nil, fmt.Errorf("rpcnet: unsupported network %q", network)
 	}
@@ -622,7 +613,6 @@ func DialFault(network, addr string, prog, vers uint32, faults *FaultInjector) (
 	}
 	c := &Client{
 		network: network, conn: conn, prog: prog, vers: vers,
-		faults:  faults,
 		sendCh:  make(chan wireMsg, 64),
 		closeCh: make(chan struct{}),
 		pending: make(map[uint32]chan callReply),
@@ -634,8 +624,8 @@ func DialFault(network, addr string, prog, vers uint32, faults *FaultInjector) (
 	return c, nil
 }
 
-// SetTimeout sets the per-call deadline used by Call (not CallContext)
-// and the write deadline applied to each socket send.
+// SetTimeout sets the per-call deadline used by Call and the write
+// deadline applied to each socket send.
 func (c *Client) SetTimeout(d time.Duration) { c.timeout.Store(int64(d)) }
 
 // ErrClientClosed is returned for calls on a closed client.
@@ -772,7 +762,7 @@ func (c *Client) reregister(xid uint32, ch chan callReply) error {
 	return nil
 }
 
-// unregister removes xid's reply channel (call abandoned: context done).
+// unregister removes xid's reply channel (call abandoned: deadline passed).
 // A reply arriving later is dropped by the demultiplexer. It reports
 // whether the channel was still registered — if so, no sender can ever
 // reach it and the caller may recycle it; if not, a send is (or was) in
@@ -811,7 +801,7 @@ func (c *Client) writer() {
 			// check (one mutex round-trip per send) are skipped.
 			var err error
 			if d := time.Duration(c.timeout.Load()); d > 0 {
-				// Skip calls already abandoned by their context.
+				// Skip calls already abandoned at their deadline.
 				c.mu.Lock()
 				_, live := c.pending[m.xid]
 				c.mu.Unlock()
@@ -828,7 +818,7 @@ func (c *Client) writer() {
 			if err == nil {
 				// The record mark (TCP) is already embedded in the
 				// buffer, so both transports send with one write.
-				err = c.send(*m.buf)
+				_, err = c.conn.Write(*m.buf)
 			}
 			putBuf(m.buf)
 			if err != nil {
@@ -842,60 +832,13 @@ func (c *Client) writer() {
 	}
 }
 
-// send puts one marshalled call on the wire, applying this client's
-// outbound fault policy. Injected pauses run on the writer goroutine —
-// every queued send behind a stalled one waits too, which on the client
-// side is the head-of-line cost a faulty uplink really has.
-func (c *Client) send(buf []byte) error {
-	if c.faults == nil {
-		_, err := c.conn.Write(buf)
-		return err
-	}
-	if c.network == "udp" {
-		act := c.faults.datagram(DirOut, len(buf))
-		if act.drop {
-			return nil // lost on the wire: the send itself "succeeded"
-		}
-		if act.delay > 0 {
-			time.Sleep(act.delay)
-		}
-		if act.truncate >= 0 {
-			buf = buf[:act.truncate]
-		}
-		if _, err := c.conn.Write(buf); err != nil {
-			return err
-		}
-		if act.dup {
-			c.conn.Write(buf)
-		}
-		return nil
-	}
-	act := c.faults.record(DirOut)
-	if act.stall > 0 {
-		half := len(buf) / 2
-		if _, err := c.conn.Write(buf[:half]); err != nil {
-			return err
-		}
-		time.Sleep(act.stall)
-		buf = buf[half:]
-	}
-	if act.reset {
-		if len(buf) > 1 {
-			c.conn.Write(buf[:len(buf)/2])
-		}
-		return fmt.Errorf("injected connection reset: %w", net.ErrClosed)
-	}
-	_, err := c.conn.Write(buf)
-	return err
-}
-
 // reader demultiplexes replies to pending calls by XID. Garbage and
 // replies to abandoned calls are dropped, like a real client facing
 // stale datagrams. TCP read errors are terminal. A UDP read error
 // (ICMP port-unreachable surfacing as ECONNREFUSED) names no XID, so
 // it fails no one: punishing every in-flight call would drop replies
 // already queued in the socket buffer, and any call whose datagram
-// really was lost is bounded by its own context deadline.
+// really was lost is bounded by its own deadline.
 func (c *Client) reader() {
 	// One pooled arena buffer serves the reader's whole life: datagrams
 	// land in it directly, TCP records are appended into it (growing it
@@ -928,37 +871,6 @@ func (c *Client) reader() {
 			// against hot-spinning on a socket that errors persistently.
 			time.Sleep(time.Millisecond)
 			continue
-		}
-		// Inbound fault decision (UDP replies only: a faulty TCP return
-		// path is injected at the server's outbound hook, where record
-		// framing is still intact).
-		if c.faults != nil && c.network == "udp" {
-			act := c.faults.datagram(DirIn, len(raw))
-			if act.drop {
-				continue
-			}
-			if act.truncate >= 0 {
-				raw = raw[:act.truncate]
-			}
-			if act.delay > 0 {
-				// The reader's buffer is overwritten by the next read, so
-				// a held datagram needs its own copy; delivery happens off
-				// the read loop — which also reorders it past anything
-				// that arrives during the hold, the fault reordering
-				// actually is.
-				held := append([]byte(nil), raw...)
-				dup := act.dup
-				time.AfterFunc(act.delay, func() {
-					c.deliver(held)
-					if dup {
-						c.deliver(held)
-					}
-				})
-				continue
-			}
-			if act.dup {
-				c.deliver(raw)
-			}
 		}
 		c.deliver(raw)
 	}
@@ -1029,17 +941,11 @@ func releaseTimer(t *time.Timer) {
 func (c *Client) Call(proc uint32, args []byte) ([]byte, error) {
 	d := time.Duration(c.timeout.Load())
 	if d <= 0 {
-		return c.call(proc, args, nil, nil, nil)
+		return c.call(proc, args, nil)
 	}
 	t := acquireTimer(d)
 	defer releaseTimer(t)
-	return c.call(proc, args, nil, t.C, nil)
-}
-
-// CallContext performs one RPC and returns the reply body. The call is
-// abandoned (its late reply dropped) when ctx is done.
-func (c *Client) CallContext(ctx context.Context, proc uint32, args []byte) ([]byte, error) {
-	return c.call(proc, args, ctx.Done(), nil, ctx.Err)
+	return c.call(proc, args, t.C)
 }
 
 // marshalCall assigns an XID and marshals record mark (TCP), RPC
@@ -1075,16 +981,9 @@ func (c *Client) marshalCallXID(xid uint32, proc uint32, args []byte) *[]byte {
 	return bp
 }
 
-// call is the shared body of Call and CallContext. The call is
-// abandoned when done is closed or expired fires (a nil channel never
-// selects); cause, when non-nil, names the abandon reason.
-func (c *Client) call(proc uint32, args []byte, done <-chan struct{}, expired <-chan time.Time, cause func() error) ([]byte, error) {
-	abandonErr := func() error {
-		if cause != nil {
-			return fmt.Errorf("rpcnet: %w", cause())
-		}
-		return fmt.Errorf("%w: %w", ErrReplyTimeout, context.DeadlineExceeded)
-	}
+// call is the body of Call. The call is abandoned when expired fires
+// (a nil channel never selects).
+func (c *Client) call(proc uint32, args []byte, expired <-chan time.Time) ([]byte, error) {
 	xid, bp := c.marshalCall(proc, args)
 	ch, err := c.register(xid)
 	if err != nil {
@@ -1108,14 +1007,10 @@ func (c *Client) call(proc uint32, args []byte, done <-chan struct{}, expired <-
 		err := c.err
 		c.mu.Unlock()
 		return nil, err
-	case <-done:
-		putBuf(bp)
-		abandon()
-		return nil, abandonErr()
 	case <-expired:
 		putBuf(bp)
 		abandon()
-		return nil, abandonErr()
+		return nil, fmt.Errorf("%w: %w", ErrReplyTimeout, context.DeadlineExceeded)
 	}
 	select {
 	case r := <-ch:
@@ -1123,12 +1018,9 @@ func (c *Client) call(proc uint32, args []byte, done <-chan struct{}, expired <-
 		// empty and unreferenced: recycle it.
 		replyChans.Put(ch)
 		return r.body, r.err
-	case <-done:
-		abandon()
-		return nil, abandonErr()
 	case <-expired:
 		abandon()
-		return nil, abandonErr()
+		return nil, fmt.Errorf("%w: %w", ErrReplyTimeout, context.DeadlineExceeded)
 	}
 }
 

@@ -213,41 +213,6 @@ func TestPipeliningOverlapsSlowCalls(t *testing.T) {
 	}
 }
 
-// TestCallContextCancel abandons a call via its context; the client
-// must return promptly and stay usable for later calls.
-func TestCallContextCancel(t *testing.T) {
-	block := make(chan struct{})
-	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, proc uint32, body []byte, reply []byte) ([]byte, uint32) {
-		if proc == 7 {
-			<-block
-		}
-		return append(reply, body...), sunrpc.AcceptSuccess
-	}, ServerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		close(block)
-		s.Close()
-	}()
-	c, err := Dial("udp", s.Addr(), 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := c.CallContext(ctx, 7, nil); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled call returned %v", err)
-	}
-	if _, err := c.Call(1, []byte("after")); err != nil {
-		t.Fatalf("client unusable after cancel: %v", err)
-	}
-}
-
 // TestUDPClientSurvivesServerRestart: a UDP transport error (server
 // gone, ICMP port-unreachable) fails the in-flight call but must not
 // poison the client — once a server is back on the same port, calls
@@ -303,12 +268,16 @@ func TestDialBadNetwork(t *testing.T) {
 	}
 }
 
+// TestCallTimeout abandons a call at its deadline; the client must
+// return promptly and stay usable for later calls.
 func TestCallTimeout(t *testing.T) {
-	// A server that never answers: handler blocks.
+	// A server that never answers proc 7: its handler blocks.
 	block := make(chan struct{})
-	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, _ uint32, _ []byte, reply []byte) ([]byte, uint32) {
-		<-block
-		return reply, sunrpc.AcceptSuccess
+	s, err := NewServerInfo("127.0.0.1:0", 1, 1, func(_ CallInfo, proc uint32, body []byte, reply []byte) ([]byte, uint32) {
+		if proc == 7 {
+			<-block
+		}
+		return append(reply, body...), sunrpc.AcceptSuccess
 	}, ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -324,11 +293,14 @@ func TestCallTimeout(t *testing.T) {
 	defer c.Close()
 	c.SetTimeout(100 * time.Millisecond)
 	start := time.Now()
-	if _, err := c.Call(1, nil); err == nil {
-		t.Fatal("blocked call returned")
+	if _, err := c.Call(7, nil); !errors.Is(err, ErrReplyTimeout) {
+		t.Fatalf("blocked call returned %v", err)
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatal("timeout not honored")
+	}
+	if _, err := c.Call(1, []byte("after")); err != nil {
+		t.Fatalf("client unusable after timeout: %v", err)
 	}
 }
 

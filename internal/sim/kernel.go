@@ -92,9 +92,6 @@ func (k *Kernel) RunUntil(limit time.Duration) {
 	}
 }
 
-// Idle reports whether the event heap is empty.
-func (k *Kernel) Idle() bool { return len(k.events) == 0 }
-
 // Shutdown kills every live process. Processes blocked in a kernel
 // primitive unwind via an internal panic recovered by the kernel; the
 // goroutines exit. Shutdown must be called after Run returns (never from

@@ -85,7 +85,3 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.k.Schedule(d, func() { p.k.transfer(p) })
 	p.park()
 }
-
-// Yield lets every other event scheduled for the current instant run
-// before the process continues.
-func (p *Proc) Yield() { p.Sleep(0) }

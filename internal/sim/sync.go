@@ -24,9 +24,6 @@ func NewChan[T any](k *Kernel) *Chan[T] { return &Chan[T]{k: k} }
 // Len reports the number of queued (unconsumed) items.
 func (c *Chan[T]) Len() int { return len(c.items) }
 
-// Waiters reports the number of processes blocked in Recv.
-func (c *Chan[T]) Waiters() int { return len(c.recvq) }
-
 // Send enqueues v, waking the longest-waiting receiver if any. It never
 // blocks and is safe to call from event callbacks.
 func (c *Chan[T]) Send(v T) {
@@ -114,9 +111,6 @@ func (s *Semaphore) Release() {
 
 // Available reports the current permit count.
 func (s *Semaphore) Available() int { return s.avail }
-
-// QueueLen reports the number of blocked acquirers.
-func (s *Semaphore) QueueLen() int { return len(s.q) }
 
 // Event is a one-shot completion: waiters block until Fire, after which
 // Wait returns immediately forever.

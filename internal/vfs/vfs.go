@@ -95,6 +95,53 @@ var (
 	ErrInval = errors.New("vfs: invalid operation")
 )
 
+// statuses pairs each sentinel with the nfsstat3 code it travels as on
+// the wire: the server maps errors to codes (Status) and the client
+// maps codes back (StatusErr) from this one table.
+var statuses = []struct {
+	err    error
+	status uint32
+}{
+	{ErrNoEnt, nfsproto.ErrNoEnt},
+	{ErrExist, nfsproto.ErrExist},
+	{ErrNotDir, nfsproto.ErrNotDir},
+	{ErrIsDir, nfsproto.ErrIsDir},
+	{ErrNotEmpty, nfsproto.ErrNotEmpty},
+	{ErrBadCookie, nfsproto.ErrBadCookie},
+	{ErrInval, nfsproto.ErrInval},
+	{ErrTooBig, nfsproto.ErrFBig},
+	{ErrNoSpace, nfsproto.ErrNoSpc},
+	{ErrStale, nfsproto.ErrStale},
+}
+
+// Status returns the nfsstat3 code for a backend error: the code of the
+// first sentinel err matches, NFS3ERR_IO for anything else. It is kept
+// out of line so the nfsd handlers, which call it only on their error
+// paths, keep small stack frames: every request runs on a goroutine of
+// its own, and, inlined into them, the loop grew them enough to cost the
+// metadata benchmark throughput.
+//
+//go:noinline
+func Status(err error) uint32 {
+	for _, s := range statuses {
+		if errors.Is(err, s.err) {
+			return s.status
+		}
+	}
+	return nfsproto.ErrIO
+}
+
+// StatusErr returns the sentinel an nfsstat3 code stands for, or nil
+// when the code has none.
+func StatusErr(status uint32) error {
+	for _, s := range statuses {
+		if s.status == status {
+			return s.err
+		}
+	}
+	return nil
+}
+
 // DirEntryBytes is the nominal on-store size of one directory entry.
 // A directory's Attr.Size is entries × DirEntryBytes, and zonefs sizes
 // a directory's entry blocks by it (128 entries per 8 KB block).

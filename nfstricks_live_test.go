@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/wgather"
 )
 
 // startLiveServer serves nFiles patterned files and returns the service
@@ -161,12 +164,12 @@ func TestLiveAsyncWritePipeline(t *testing.T) {
 	const chunk = 8192
 
 	fs := NewLiveFS()
-	var fhs [clients]LiveFH
+	var fhs [clients]nfsproto.FH
 	for i := 0; i < clients; i++ {
 		fhs[i], _ = fs.Create(LiveRootFH, fmt.Sprintf("w%d", i), make([]byte, fileSize))
 	}
-	sink := NewMemStableSink()
-	svc := NewLiveService(fs, LiveConfig{Gather: WriteGatherConfig{
+	sink := wgather.NewMemSink()
+	svc := NewLiveService(fs, LiveConfig{Gather: wgather.Config{
 		Window: 2 * time.Millisecond,
 		Sink:   sink,
 	}})

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/obs"
 )
 
 func adminGet(t *testing.T, url string) []byte {
@@ -44,7 +45,7 @@ func TestLiveAdminUnderTraffic(t *testing.T) {
 	const clients = 4
 	const fileSize = 128 * 1024
 
-	reg := NewObsRegistry()
+	reg := obs.NewRegistry()
 	fs := NewLiveFS()
 	payload := make([]byte, fileSize)
 	for i := range payload {
@@ -62,7 +63,7 @@ func TestLiveAdminUnderTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	adm, err := ServeObsAdmin("127.0.0.1:0", reg)
+	adm, err := obs.ServeAdmin("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}

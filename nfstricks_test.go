@@ -1,7 +1,16 @@
 package nfstricks
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"sort"
+	"strings"
 	"testing"
+
+	"nfstricks/internal/nfsproto"
+	"nfstricks/internal/nfstrace"
+	"nfstricks/internal/readahead"
 )
 
 func TestFacadeTestbed(t *testing.T) {
@@ -32,35 +41,9 @@ func TestFacadeHeuristics(t *testing.T) {
 	for _, h := range heuristics {
 		s.Reset()
 		got := h.Update(&s, 0, 8192)
-		if got < 1 || got > SeqMax {
+		if got < 1 || got > readahead.SeqMax {
 			t.Fatalf("%s: count %d out of range", h.Name(), got)
 		}
-	}
-}
-
-func TestFacadeNfsheur(t *testing.T) {
-	tbl := NewNfsheurTable(ImprovedNfsheur())
-	if _, found := tbl.Lookup(9); found {
-		t.Fatal("fresh table found a handle")
-	}
-	if DefaultNfsheur().Slots >= ImprovedNfsheur().Slots {
-		t.Fatal("improved table not larger than the 4.x table")
-	}
-}
-
-func TestFacadeDiskModels(t *testing.T) {
-	if SCSIModel().MediaRateAt(0) <= 0 || IDEModel().MediaRateAt(0) <= 0 {
-		t.Fatal("disk models broken")
-	}
-}
-
-func TestFacadeExperiments(t *testing.T) {
-	if len(Experiments()) < 13 {
-		t.Fatalf("registry has %d entries", len(Experiments()))
-	}
-	e, ok := LookupExperiment("fig1")
-	if !ok || e.ID != "fig1" {
-		t.Fatal("LookupExperiment failed")
 	}
 }
 
@@ -89,18 +72,15 @@ func TestFacadeLiveMode(t *testing.T) {
 }
 
 func TestWorkloadHelpers(t *testing.T) {
-	if len(ReaderCounts) != 6 || ReaderCounts[5] != 32 {
-		t.Fatalf("ReaderCounts = %v", ReaderCounts)
-	}
 	if names := FilesFor(4); len(names) != 4 {
 		t.Fatalf("FilesFor(4) = %v", names)
 	}
 }
 
 func TestTracerEndToEnd(t *testing.T) {
-	var tr Tracer
+	var tr nfstrace.Tracer
 	tb, err := NewTestbed(Options{Seed: 9, Disk: IDE,
-		Server: nfsserverConfigWithTracer(&tr)})
+		Server: ServerConfig{Tracer: &tr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +94,7 @@ func TestTracerEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	tb.K.Shutdown()
-	a := AnalyzeTrace(tr.Records())
+	a := nfstrace.Analyze(tr.Records(), nfsproto.ProcRead)
 	if a.Reads < 200 || a.Files != 1 {
 		t.Fatalf("trace analysis: %+v", a)
 	}
@@ -123,5 +103,80 @@ func TestTracerEndToEnd(t *testing.T) {
 	}
 	if a.ReorderFrac < 0 || a.ReorderFrac > 0.2 {
 		t.Fatalf("reorder fraction %.2f implausible for one reader", a.ReorderFrac)
+	}
+}
+
+// facadeSurface is every exported name of nfstricks.go, sorted. The
+// facade exports what the examples use and the types those names need;
+// a new export shows up here as a diff.
+var facadeSurface = []string{
+	"Always",
+	"CreateFileSet",
+	"CursorHeuristic",
+	"Default",
+	"DialLive",
+	"DiskKind",
+	"FilesFor",
+	"HeurState",
+	"Heuristic",
+	"IDE",
+	"ImprovedNfsheur",
+	"LiveClient",
+	"LiveConfig",
+	"LiveFS",
+	"LiveRootFH",
+	"LiveServerOptions",
+	"LiveService",
+	"NewLiveFS",
+	"NewLiveService",
+	"NewTestbed",
+	"NfsheurParams",
+	"Options",
+	"RPCServer",
+	"RunLocalReaders",
+	"RunNFSReaders",
+	"RunNFSStrideReader",
+	"SCSI",
+	"ServeLive",
+	"ServerConfig",
+	"SlowDown",
+	"StorageBackend",
+	"Testbed",
+}
+
+func TestFacadeSurface(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "nfstricks.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				got = append(got, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					got = append(got, spec.Name.Name)
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						got = append(got, n.Name)
+					}
+				}
+			}
+		}
+	}
+	exported := got[:0]
+	for _, n := range got {
+		if ast.IsExported(n) {
+			exported = append(exported, n)
+		}
+	}
+	sort.Strings(exported)
+	if g, w := strings.Join(exported, "\n"), strings.Join(facadeSurface, "\n"); g != w {
+		t.Fatalf("facade exports changed:\ngot:\n%s\n\nwant:\n%s", g, w)
 	}
 }
