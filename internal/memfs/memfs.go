@@ -8,6 +8,7 @@
 package memfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -69,21 +70,70 @@ type dirSlot struct {
 	name   string
 }
 
+// chunkSize is the size of one file chunk: nfsproto.MaxData, the
+// largest READ or WRITE payload, so an aligned READ lies in one chunk
+// and an aligned WRITE touches at most one.
+const chunkSize = nfsproto.MaxData
+
 // object is one store object. Exactly one of the two roles applies:
-// dir == nil makes it a regular file whose contents are data; dir !=
-// nil makes it a directory (data stays nil). A file's data is treated
-// as an immutable segment: readers receive sub-slice views of it, so a
-// write never mutates bytes a view can see — overlapping writes
-// copy-on-write to a fresh segment and swap the pointer, and appends
-// only ever touch indices at or past the old length, which no view
-// covers.
+// dir == nil makes it a regular file of size bytes; dir != nil makes it
+// a directory (size and chunks stay zero).
+//
+// A file's bytes live in a table of chunks: chunks[i] holds the bytes
+// at [i*chunkSize, (i+1)*chunkSize). A nil or missing entry is a hole,
+// and the bytes of a chunk past its len read as zeros up to the
+// chunk's extent, so growing a file allocates nothing. The bytes below
+// a chunk's len are immutable: readers receive sub-slice views of
+// them, so a write that touches them copies that one chunk and swaps
+// the pointer. Bytes between a chunk's len and its cap have never been
+// in a view, so an append fills them in place; truncation caps the
+// boundary chunk's capacity so a later append cannot revive dropped
+// bytes an old view still holds. A file that holds no data, however
+// large, has no table.
 type object struct {
-	data []byte
-	dir  *dirState
+	size   uint64
+	chunks [][]byte
+	dir    *dirState
 }
 
 func newDir() *object {
 	return &object{dir: &dirState{entries: make(map[string]dirent), nextCookie: 1}}
+}
+
+// newFile returns a file holding data. With own, its chunks are capped
+// views of data itself, which the file takes over; otherwise each
+// chunk is a copy.
+func newFile(data []byte, own bool) *object {
+	o := &object{size: uint64(len(data))}
+	if len(data) > 0 {
+		o.chunks = make([][]byte, (len(data)+chunkSize-1)/chunkSize)
+	}
+	for i := range o.chunks {
+		c := data[i*chunkSize : min((i+1)*chunkSize, len(data))]
+		if own {
+			c = c[:len(c):len(c)]
+		} else {
+			c = bytes.Clone(c)
+		}
+		o.chunks[i] = c
+	}
+	return o
+}
+
+// chunk returns chunk i of a file (nil for a hole).
+func (o *object) chunk(i int) []byte {
+	if i < len(o.chunks) {
+		return o.chunks[i]
+	}
+	return nil
+}
+
+// setChunk stores c as chunk i, extending the table with holes.
+func (o *object) setChunk(i int, c []byte) {
+	if i >= len(o.chunks) {
+		o.chunks = append(o.chunks, make([][]byte, i+1-len(o.chunks))...)
+	}
+	o.chunks[i] = c
 }
 
 // FS is a hierarchical in-memory file store. The root directory exists
@@ -142,16 +192,17 @@ func (d *dirState) unlink(name string) {
 	}
 }
 
-// Create adds a file under dir with the given contents, replacing any
-// previous file of that name, and returns its handle (vfs.Backend).
+// Create adds a file under dir with a copy of data as its contents,
+// replacing any previous file of that name, and returns its handle
+// (vfs.Backend).
 func (fs *FS) Create(dir nfsproto.FH, name string, data []byte) (nfsproto.FH, error) {
-	return fs.install(dir, name, append([]byte(nil), data...))
+	return fs.install(dir, name, newFile(data, false))
 }
 
-// CreateSized adds a zero-filled file of size bytes (vfs.SizedCreator)
-// — one allocation, no payload copy.
+// CreateSized adds a zero-filled file of size bytes (vfs.SizedCreator):
+// one hole, no payload allocated.
 func (fs *FS) CreateSized(dir nfsproto.FH, name string, size uint64) (nfsproto.FH, error) {
-	return fs.install(dir, name, make([]byte, size))
+	return fs.install(dir, name, &object{size: size})
 }
 
 // CreateAt installs a file at a caller-chosen handle, replacing any
@@ -163,7 +214,8 @@ func (fs *FS) CreateSized(dir nfsproto.FH, name string, size uint64) (nfsproto.F
 // past it so ordinary Creates never collide with it; a handle at or
 // above the bound lives in the cluster allocator's reserved range and
 // must not drag the local counter up into that range. An existing
-// object at fh under a different name is ErrExist.
+// object at fh under a different name is ErrExist. The file takes over
+// data: the caller must not modify it afterwards.
 func (fs *FS) CreateAt(dir nfsproto.FH, name string, fh nfsproto.FH, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -184,13 +236,13 @@ func (fs *FS) CreateAt(dir nfsproto.FH, name string, fh nfsproto.FH, data []byte
 	if fh < LocalFHBound && fh >= fs.nextFH {
 		fs.nextFH = fh + 1
 	}
-	fs.objs[fh] = &object{data: data}
+	fs.objs[fh] = newFile(data, true)
 	fs.link(d.dir, name, fh)
 	return nil
 }
 
-// install registers a file segment fs now owns as dir/name.
-func (fs *FS) install(dir nfsproto.FH, name string, data []byte) (nfsproto.FH, error) {
+// install registers the file f as dir/name.
+func (fs *FS) install(dir nfsproto.FH, name string, f *object) (nfsproto.FH, error) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	d, err := fs.dirAt(dir)
@@ -206,12 +258,14 @@ func (fs *FS) install(dir nfsproto.FH, name string, data []byte) (nfsproto.FH, e
 	}
 	fh := fs.nextFH
 	fs.nextFH++
-	fs.objs[fh] = &object{data: data}
+	fs.objs[fh] = f
 	fs.link(d.dir, name, fh)
 	return fh, nil
 }
 
-// Lookup resolves name under dir (vfs.Backend).
+// Lookup resolves name under dir (vfs.Backend). A miss returns the bare
+// vfs.ErrNoEnt sentinel: clients probe for names that do not exist, and
+// no caller reads the name back out of the error.
 func (fs *FS) Lookup(dir nfsproto.FH, name string) (nfsproto.FH, vfs.Attr, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -221,7 +275,7 @@ func (fs *FS) Lookup(dir nfsproto.FH, name string) (nfsproto.FH, vfs.Attr, error
 	}
 	e, ok := d.dir.entries[name]
 	if !ok {
-		return 0, vfs.Attr{}, fmt.Errorf("%w: %s", vfs.ErrNoEnt, name)
+		return 0, vfs.Attr{}, vfs.ErrNoEnt
 	}
 	return e.fh, fs.objs[e.fh].attr(), nil
 }
@@ -231,7 +285,7 @@ func (o *object) attr() vfs.Attr {
 	if o.dir != nil {
 		return vfs.Attr{Size: int64(len(o.dir.entries)) * vfs.DirEntryBytes, Dir: true}
 	}
-	return vfs.Attr{Size: int64(len(o.data))}
+	return vfs.Attr{Size: int64(o.size)}
 }
 
 // Mkdir creates an empty directory under dir; an existing entry of
@@ -369,7 +423,7 @@ func (fs *FS) inSubtree(root, fh nfsproto.FH) bool {
 }
 
 // Setattr sets a file's size, truncating or zero-extending
-// (vfs.Backend).
+// (vfs.Backend). Extension allocates nothing: the new bytes are a hole.
 func (fs *FS) Setattr(fh nfsproto.FH, size uint64) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -383,26 +437,36 @@ func (fs *FS) Setattr(fh nfsproto.FH, size uint64) error {
 	if size > MaxFileSize {
 		return fmt.Errorf("%w (setattr size=%d)", ErrTooBig, size)
 	}
-	cur := uint64(len(o.data))
-	switch {
-	case size < cur:
-		// Truncate by reslicing with capped capacity: the dropped bytes
-		// stay untouched for outstanding read views, and the cap stops a
-		// later in-place append from reviving them.
-		o.data = o.data[:size:size]
-	case size > cur:
-		grown := make([]byte, size)
-		copy(grown, o.data)
-		o.data = grown
+	if size < o.size {
+		o.truncate(size)
 	}
+	o.size = size
 	return nil
 }
 
-// Read returns up to count bytes at off from the file. The returned
-// slice is a stable read-only view of the file segment, not a copy:
-// later Writes never mutate it (copy-on-write), so the only payload
-// copy on the READ reply path is the append into the wire buffer.
-// Callers must not modify the returned bytes.
+// truncate drops a file's bytes at and past n (caller holds fs.mu).
+// The chunks wholly past n leave the table; the boundary chunk is
+// resliced with its capacity capped, so the dropped bytes stay
+// untouched for outstanding read views and a later in-place append
+// cannot revive them.
+func (o *object) truncate(n uint64) {
+	keep := int((n + chunkSize - 1) / chunkSize)
+	if keep < len(o.chunks) {
+		clear(o.chunks[keep:])
+		o.chunks = o.chunks[:keep]
+	}
+	if r := int(n % chunkSize); r > 0 && keep == len(o.chunks) && len(o.chunks[keep-1]) > r {
+		o.chunks[keep-1] = o.chunks[keep-1][:r:r]
+	}
+}
+
+// Read returns up to count bytes at off from the file, never fewer
+// than the file holds there. A range stored in one chunk comes back as
+// a stable read-only view of that chunk, not a copy: later Writes never
+// mutate it (copy-on-write), so the only payload copy on the READ
+// reply path is the append into the wire buffer. A range that spans
+// chunks or reaches a hole comes back as one copy. Callers must not
+// modify the returned bytes.
 func (fs *FS) Read(fh nfsproto.FH, off uint64, count uint32) (data []byte, eof bool, err error) {
 	data, _, eof, err = fs.readAt(fh, off, count)
 	return data, eof, err
@@ -420,23 +484,39 @@ func (fs *FS) readAt(fh nfsproto.FH, off uint64, count uint32) (data []byte, siz
 	if f.dir != nil {
 		return nil, 0, false, fmt.Errorf("%w: %d", vfs.ErrIsDir, fh)
 	}
-	size = uint64(len(f.data))
+	size = f.size
 	if off >= size {
 		return nil, size, true, nil
 	}
-	end := off + uint64(count)
-	if end > size {
-		end = size
-	}
-	// Full slice expression so the view cannot reach the file's spare
-	// capacity, which in-place appends are allowed to fill.
-	return f.data[off:end:end], size, end == size, nil
+	end := min(off+uint64(count), size)
+	return f.read(off, end), size, end == size, nil
 }
 
-// Write stores data at off, extending the file as needed. Extension
-// capacity is doubled (amortized O(1) appends instead of the quadratic
-// exact-size regrow), and any write that touches bytes a Read view
-// could see copies to a fresh segment first (see the object type).
+// read returns a file's bytes at [off, end), end <= size (caller holds
+// fs.mu): a view when they lie below one chunk's len, else a copy with
+// holes zeroed. Views are built with a full slice expression so they
+// cannot reach a chunk's spare capacity, which in-place appends may
+// fill.
+func (o *object) read(off, end uint64) []byte {
+	i := off / chunkSize
+	base := i * chunkSize
+	if c := o.chunk(int(i)); end-base <= uint64(len(c)) {
+		return c[off-base : end-base : end-base]
+	}
+	out := make([]byte, end-off)
+	for ; i*chunkSize < end; i++ {
+		base := i * chunkSize
+		c := o.chunk(int(i))
+		if from, to := max(off, base), min(end, base+uint64(len(c))); from < to {
+			copy(out[from-off:], c[from-base:to-base])
+		}
+	}
+	return out
+}
+
+// Write stores data at off, extending the file as needed. It copies
+// only the chunks the range touches (see the object type), so the cost
+// of an overwrite is the size of the write, not of the file.
 func (fs *FS) Write(fh nfsproto.FH, off uint64, data []byte) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -450,31 +530,46 @@ func (fs *FS) Write(fh nfsproto.FH, off uint64, data []byte) error {
 	if off > MaxFileSize || uint64(len(data)) > MaxFileSize-off {
 		return fmt.Errorf("%w (off=%d len=%d)", ErrTooBig, off, len(data))
 	}
-	size := uint64(len(f.data))
-	need := off + uint64(len(data))
-	if need < size {
-		need = size
+	end := off + uint64(len(data))
+	size := max(f.size, end)
+	for p := off; p < end; {
+		i := p / chunkSize
+		base := i * chunkSize
+		hi := min(end-base, chunkSize)
+		f.setChunk(int(i), f.writeChunk(int(i), int(p-base), int(hi), data[p-off:base+hi-off], size))
+		p = base + hi
 	}
-	if off >= size && need <= uint64(cap(f.data)) {
-		// Pure append within capacity: indices >= len were never
-		// exposed to a view, so filling them in place is safe.
-		grown := f.data[:need]
-		clear(grown[size:off])
-		copy(grown[off:], data)
-		f.data = grown
-		return nil
-	}
-	// Copy-on-write (overlapping write), or append past capacity. Only
-	// extensions get the doubled capacity; a pure overwrite stays exact.
-	newCap := int(need)
-	if doubled := 2 * cap(f.data); need > size && doubled > newCap {
-		newCap = doubled
-	}
-	grown := make([]byte, need, newCap)
-	copy(grown, f.data)
-	copy(grown[off:], data)
-	f.data = grown
+	f.size = size
 	return nil
+}
+
+// writeChunk returns chunk i with src stored at [lo, hi) within it, in
+// a file that will be size bytes long (caller holds fs.mu). A write
+// wholly in the chunk's spare capacity fills it in place; any other
+// write copies the chunk. In a file larger than one chunk the copy gets
+// the full chunkSize. A small file's one chunk doubles its capacity
+// when a write extends it (amortized O(1) appends) and stays exact
+// when one does not.
+func (o *object) writeChunk(i, lo, hi int, src []byte, size uint64) []byte {
+	old := o.chunk(i)
+	if lo >= len(old) && hi <= cap(old) {
+		c := old[:hi]
+		clear(c[len(old):lo])
+		copy(c[lo:], src)
+		return c
+	}
+	n := max(len(old), hi)
+	capacity := n
+	switch {
+	case size > chunkSize:
+		capacity = chunkSize
+	case n > len(old):
+		capacity = min(chunkSize, max(n, 2*cap(old)))
+	}
+	c := make([]byte, n, capacity)
+	copy(c, old)
+	copy(c[lo:], src)
+	return c
 }
 
 // Size returns an object's length (for a directory, its nominal
@@ -546,7 +641,7 @@ func (fs *FS) Fsstat() (total, free uint64) {
 	fs.mu.RLock()
 	var used uint64
 	for _, o := range fs.objs {
-		used += uint64(len(o.data))
+		used += o.size
 	}
 	fs.mu.RUnlock()
 	total = nominalTotalBytes

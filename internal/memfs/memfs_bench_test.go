@@ -167,3 +167,80 @@ func BenchmarkReaddirPagedScan(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOverwrite overwrites 8 KB blocks in files of 1, 4 and 16 MB,
+// moving through the file so successive writes land in different
+// chunks. ns/op and B/op should not grow with the file: an overwrite
+// copies the one chunk it touches.
+//
+//	go test -run XXX -bench Overwrite -benchmem ./internal/memfs/
+func BenchmarkOverwrite(b *testing.B) {
+	block := make([]byte, 8192)
+	for _, mb := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("file=%dMB", mb), func(b *testing.B) {
+			fs := NewFS()
+			size := uint64(mb) << 20
+			fh, err := fs.Create(RootFH, "f", make([]byte, size))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(block)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var off uint64
+			for i := 0; i < b.N; i++ {
+				off = (off + 3*nfsproto.MaxData + 8192) % size
+				if err := fs.Write(fh, off, block); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReadBesideOverwrite measures a GETATTR plus an 8 KB ReadAt
+// on one file while another goroutine overwrites 8 KB blocks of a 4 MB
+// file: the cost a reader pays for sharing the FS-wide lock with a
+// writer on a different file. writes/op reports how far the writer got
+// per read, so a faster read bought by a starved writer shows.
+//
+//	go test -run XXX -bench ReadBesideOverwrite ./internal/memfs/
+func BenchmarkReadBesideOverwrite(b *testing.B) {
+	const size = 4 << 20
+	fs := NewFS()
+	fa, _ := fs.Create(RootFH, "a", make([]byte, size))
+	fb, _ := fs.Create(RootFH, "b", make([]byte, size))
+	stop := make(chan struct{})
+	var writes int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		block := make([]byte, 8192)
+		for off := uint64(0); ; off = (off + 8192) % size {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := fs.Write(fa, off, block); err != nil {
+				panic(err)
+			}
+			writes++
+		}
+	}()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := uint64(i%(size/8192)) * 8192
+		if _, ok := fs.Getattr(fb); !ok {
+			b.Fatal("Getattr: stale handle")
+		}
+		if _, _, _, err := fs.ReadAt(fb, off, 8192, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	wg.Wait()
+	b.ReportMetric(float64(writes)/float64(b.N), "writes/op")
+}
