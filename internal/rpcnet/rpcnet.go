@@ -6,10 +6,12 @@
 package rpcnet
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/netip"
 	"sync"
@@ -23,6 +25,18 @@ import (
 
 // maxUDPMessage bounds datagram buffers (rsize 32 KB + headers).
 const maxUDPMessage = 64 * 1024
+
+// recordReadBuffer sizes the read buffer in front of each TCP
+// connection, on the server and the client. Without it every record
+// costs two reads, one for the mark and one for the body; with it a
+// mark and its body arrive in one read, and records queued back to back
+// share one.
+const recordReadBuffer = 64 * 1024
+
+// newRecordReader buffers a TCP stream for sunrpc.ReadRecordInto.
+func newRecordReader(r io.Reader) *bufio.Reader {
+	return bufio.NewReaderSize(r, recordReadBuffer)
+}
 
 // CallInfo identifies one call on the wire: which client sent it and
 // under which XID. A duplicate request cache needs exactly this —
@@ -136,6 +150,8 @@ type Server struct {
 
 	udp *net.UDPConn
 	tcp net.Listener
+	// datagrams serves every UDP request; serveUDP owns it.
+	datagrams *workers
 
 	// nextStream allocates tap stream ids; udpStreams maps datagram
 	// peers to theirs (only touched when a tap is installed).
@@ -187,6 +203,7 @@ func NewServerInfo(addr string, prog, vers uint32, handler InfoHandler, opts Ser
 	if s.tap != nil {
 		s.udpStreams = make(map[netip.AddrPort]uint32)
 	}
+	s.datagrams = newWorkers(&s.wg, s.replyDatagram)
 	s.wg.Add(2)
 	go s.serveUDP()
 	go s.serveTCP()
@@ -278,10 +295,11 @@ func (s *Server) isClosed() bool {
 
 func (s *Server) serveUDP() {
 	defer s.wg.Done()
+	defer s.datagrams.stop()
 	for {
 		// Each datagram lands in its own pooled buffer, so handing it to
-		// the serving goroutine needs no copy; the buffer is recycled
-		// once the reply hits the socket.
+		// a worker needs no copy; the buffer is recycled once the reply
+		// hits the socket.
 		bp := getBuf()
 		buf := (*bp)[:cap(*bp)]
 		n, from, err := s.udp.ReadFromUDP(buf)
@@ -315,9 +333,9 @@ func (s *Server) serveUDP() {
 	}
 }
 
-// serveDatagram dispatches one UDP request on its own goroutine and
-// recycles bp when the reply (if any) has hit the socket. delay, when
-// nonzero, is an injected inbound hold applied before decoding.
+// serveDatagram hands one UDP request to the server's datagram workers,
+// which recycle bp when the reply (if any) has hit the socket. delay,
+// when nonzero, is an injected inbound hold applied before decoding.
 func (s *Server) serveDatagram(bp *[]byte, msg []byte, from *net.UDPAddr, delay time.Duration) {
 	// Arrival time and stream id are resolved on the read loop (the
 	// peer address is at hand here) but only when capture is on.
@@ -329,51 +347,48 @@ func (s *Server) serveDatagram(bp *[]byte, msg []byte, from *net.UDPAddr, delay 
 	// StageRecv covers scheduling delay and injected holds; Acquire on a
 	// nil table hands out a nil span, which every mark downstream accepts.
 	info := CallInfo{Client: from.AddrPort(), Span: s.spans.Acquire()}
-	// The handler goroutine joins the server's WaitGroup (the read
-	// loop still holds its own count, so this Add cannot race a
-	// Close that already reached zero): Close drains in-flight
-	// requests, which is what lets a shutdown trust that the final
-	// stats and the capture tap saw every served RPC.
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		defer putBuf(bp)
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		rp := getBuf()
-		defer putBuf(rp)
-		reply, ok := s.process(msg, *rp, ev, info)
-		if !ok {
-			s.spans.Discard(info.Span)
-			return
-		}
-		*rp = reply
-		s.emit(ev)
-		// The reply stage covers the outbound fault decision and the
-		// socket write — everything between the handler's last mark and
-		// the datagram leaving (or being dropped by) the server.
-		defer func() {
-			info.Span.Mark(obs.StageReply)
-			s.spans.Finish(info.Span)
-		}()
-		// Outbound fault decision: the reply datagram crosses the wire
-		// too.
-		act := s.faults.datagram(DirOut, len(reply))
-		if act.drop {
-			return
-		}
-		if act.delay > 0 {
-			time.Sleep(act.delay)
-		}
-		if act.truncate >= 0 {
-			reply = reply[:act.truncate]
-		}
-		s.udp.WriteToUDP(reply, from)
-		if act.dup {
-			s.udp.WriteToUDP(reply, from)
-		}
+	s.datagrams.dispatch(request{bp: bp, msg: msg, hold: delay, ev: ev, info: info, from: from})
+}
+
+// replyDatagram serves one UDP request on a datagram worker: the inbound
+// hold, dispatch, and the reply datagram with its outbound faults.
+func (s *Server) replyDatagram(r request) {
+	defer putBuf(r.bp)
+	if r.hold > 0 {
+		time.Sleep(r.hold)
+	}
+	rp := getBuf()
+	defer putBuf(rp)
+	reply, ok := s.process(r.msg, *rp, r.ev, r.info)
+	if !ok {
+		s.spans.Discard(r.info.Span)
+		return
+	}
+	*rp = reply
+	s.emit(r.ev)
+	// The reply stage covers the outbound fault decision and the
+	// socket write — everything between the handler's last mark and
+	// the datagram leaving (or being dropped by) the server.
+	defer func() {
+		r.info.Span.Mark(obs.StageReply)
+		s.spans.Finish(r.info.Span)
 	}()
+	// Outbound fault decision: the reply datagram crosses the wire
+	// too.
+	act := s.faults.datagram(DirOut, len(reply))
+	if act.drop {
+		return
+	}
+	if act.delay > 0 {
+		time.Sleep(act.delay)
+	}
+	if act.truncate >= 0 {
+		reply = reply[:act.truncate]
+	}
+	s.udp.WriteToUDP(reply, r.from)
+	if act.dup {
+		s.udp.WriteToUDP(reply, r.from)
+	}
 }
 
 // emit delivers a populated tap event; ev is nil when capture is off or
@@ -428,9 +443,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		peer = ta.AddrPort()
 	}
 	var writeMu sync.Mutex
+	// Records are served by the connection's own workers; when the read
+	// loop ends they finish their current record and exit.
+	w := newWorkers(&s.wg, func(r request) { s.replyRecord(conn, &writeMu, r) })
+	defer w.stop()
+	rd := newRecordReader(conn)
 	for {
 		bp := getBuf()
-		msg, err := sunrpc.ReadRecordInto(conn, *bp)
+		msg, err := sunrpc.ReadRecordInto(rd, *bp)
 		if err != nil {
 			putBuf(bp)
 			return
@@ -451,64 +471,64 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		// Arrival-stamped here (post record read), as in serveDatagram.
 		info := CallInfo{Client: peer, TCP: true, Span: s.spans.Acquire()}
-		// As in serveUDP: in-flight requests are part of the WaitGroup
-		// so Close drains them (this goroutine's Add is covered by the
-		// connection's own count).
-		s.wg.Add(1)
-		go func(bp *[]byte, msg []byte, stall time.Duration) {
-			defer s.wg.Done()
-			defer putBuf(bp)
-			if stall > 0 {
-				time.Sleep(stall)
-			}
-			rp := getBuf()
-			defer putBuf(rp)
-			// Record mark, RPC header and result are appended into one
-			// pooled buffer and written in a single call — no re-framing
-			// copy, no per-reply allocation.
-			reply, ok := s.process(msg, sunrpc.BeginRecord(*rp), ev, info)
-			if !ok {
-				s.spans.Discard(info.Span)
-				return
-			}
-			*rp = reply
-			sunrpc.FinishRecord(reply, 0)
-			s.emit(ev)
-			// The reply stage covers write-lock wait (head-of-line
-			// blocking behind a stalled reply shows up here), injected
-			// faults and the record's socket write.
-			defer func() {
-				info.Span.Mark(obs.StageReply)
-				s.spans.Finish(info.Span)
-			}()
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			// Outbound record fault. A stall writes half the record,
-			// holds the write lock through the pause, then completes it:
-			// genuine head-of-line blocking — every reply behind this one
-			// on the connection waits too, which is exactly the TCP
-			// failure mode the paper's transport comparison is about. A
-			// reset abandons the record mid-write and kills the
-			// connection.
-			wact := s.faults.record(DirOut)
-			if wact.stall > 0 {
-				half := len(reply) / 2
-				if _, err := conn.Write(reply[:half]); err != nil {
-					return
-				}
-				time.Sleep(wact.stall)
-				reply = reply[half:]
-			}
-			if wact.reset {
-				if len(reply) > 1 {
-					conn.Write(reply[:len(reply)/2])
-				}
-				conn.Close()
-				return
-			}
-			conn.Write(reply)
-		}(bp, msg, act.stall)
+		w.dispatch(request{bp: bp, msg: msg, hold: act.stall, ev: ev, info: info})
 	}
+}
+
+// replyRecord serves one TCP record on a connection worker: the inbound
+// stall, dispatch, and the reply record written under the connection's
+// write lock with its outbound faults.
+func (s *Server) replyRecord(conn net.Conn, writeMu *sync.Mutex, r request) {
+	defer putBuf(r.bp)
+	if r.hold > 0 {
+		time.Sleep(r.hold)
+	}
+	rp := getBuf()
+	defer putBuf(rp)
+	// Record mark, RPC header and result are appended into one
+	// pooled buffer and written in a single call — no re-framing
+	// copy, no per-reply allocation.
+	reply, ok := s.process(r.msg, sunrpc.BeginRecord(*rp), r.ev, r.info)
+	if !ok {
+		s.spans.Discard(r.info.Span)
+		return
+	}
+	*rp = reply
+	sunrpc.FinishRecord(reply, 0)
+	s.emit(r.ev)
+	// The reply stage covers write-lock wait (head-of-line
+	// blocking behind a stalled reply shows up here), injected
+	// faults and the record's socket write.
+	defer func() {
+		r.info.Span.Mark(obs.StageReply)
+		s.spans.Finish(r.info.Span)
+	}()
+	writeMu.Lock()
+	defer writeMu.Unlock()
+	// Outbound record fault. A stall writes half the record,
+	// holds the write lock through the pause, then completes it:
+	// genuine head-of-line blocking — every reply behind this one
+	// on the connection waits too, which is exactly the TCP
+	// failure mode the paper's transport comparison is about. A
+	// reset abandons the record mid-write and kills the
+	// connection.
+	wact := s.faults.record(DirOut)
+	if wact.stall > 0 {
+		half := len(reply) / 2
+		if _, err := conn.Write(reply[:half]); err != nil {
+			return
+		}
+		time.Sleep(wact.stall)
+		reply = reply[half:]
+	}
+	if wact.reset {
+		if len(reply) > 1 {
+			conn.Write(reply[:len(reply)/2])
+		}
+		conn.Close()
+		return
+	}
+	conn.Write(reply)
 }
 
 // process decodes a call, dispatches it and appends the encoded reply
@@ -517,7 +537,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // on) the call's procedure, accept status, argument body and result
 // region are recorded into it.
 func (s *Server) process(msg []byte, out []byte, ev *TapEvent, info CallInfo) (reply []byte, ok bool) {
-	// Everything from arrival to here — goroutine handoff, injected
+	// Everything from arrival to here — worker handoff, injected
 	// inbound holds — is the receive stage.
 	info.Span.Mark(obs.StageRecv)
 	call, err := sunrpc.UnmarshalCall(msg)
@@ -847,11 +867,15 @@ func (c *Client) reader() {
 	// overwrites the buffer.
 	bp := getBuf()
 	defer putBuf(bp)
+	var rd *bufio.Reader
+	if c.network == "tcp" {
+		rd = newRecordReader(c.conn)
+	}
 	for {
 		var raw []byte
 		var err error
-		if c.network == "tcp" {
-			raw, err = sunrpc.ReadRecordInto(c.conn, *bp)
+		if rd != nil {
+			raw, err = sunrpc.ReadRecordInto(rd, *bp)
 			if raw != nil {
 				*bp = raw
 			}
