@@ -118,7 +118,7 @@ func (t conn) Close() error { return t.c.Close() }
 // timeout stays armed: it puts a write deadline on each send, so a
 // stalled TCP target (accepting but never reading) fails the transport
 // and the run finishes with errors counted instead of wedging forever
-// in the writer.
+// in a socket write.
 func dialConn(opts *Options) (Transport, error) {
 	c, err := rpcnet.Dial(opts.Network, opts.Addr, nfsproto.Program, nfsproto.Version3)
 	if err != nil {

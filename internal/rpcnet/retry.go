@@ -209,65 +209,48 @@ func (r *Retrier) Call(proc uint32, args []byte) ([]byte, error) {
 		return nil, err
 	}
 	rto := r.initialRTO()
-	retransmitted := false
-	lastCause := error(nil)
+	var lastCause error
 	for attempt := 0; attempt < r.p.MaxTransmits; attempt++ {
 		if attempt > 0 {
 			r.retransmits.Add(1)
-			retransmitted = true
 		}
-		// Each transmission re-marshals the call: the writer recycles
-		// send buffers after each send, but the XID — the identity the
+		// Each transmission re-marshals the call: send recycles the
+		// buffer after its write, but the XID — the identity the
 		// server's DRC matches on — is the same every time.
-		bp := c.marshalCallXID(xid, proc, args)
 		sent := time.Now()
-		select {
-		case c.sendCh <- wireMsg{xid: xid, buf: bp}:
-		case <-c.closeCh:
-			putBuf(bp)
-			if c.unregister(xid) {
-				replyChans.Put(ch)
+		cause := c.send(c.marshalCallXID(xid, proc, args))
+		if cause != nil {
+			if c.failed() != nil {
+				// Closed, or a dead TCP stream: nothing can complete.
+				c.abandon(xid, ch)
+				return nil, cause
 			}
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return nil, err
+			// The datagram died at the socket (the peer may be
+			// rebooting): wait out the backoff a lost one would get.
+			r.sendFails.Add(1)
 		}
 		t := acquireTimer(r.jittered(rto))
 		select {
 		case reply := <-ch:
 			releaseTimer(t)
-			if reply.err != nil && errors.Is(reply.err, ErrSendFailed) && !c.isClosed() {
-				// The datagram died at the socket; failOne consumed the
-				// registration, so re-arm it and run the same backoff a
-				// lost datagram would get (the peer may be rebooting).
-				r.sendFails.Add(1)
-				lastCause = reply.err
-				if err := c.reregister(xid, ch); err != nil {
-					replyChans.Put(ch)
-					return nil, err
-				}
-				time.Sleep(r.jittered(rto))
-				rto = r.clamp(rto * 2)
-				continue
-			}
 			// Terminal: a real reply, an RPC-level reject, or a dead
 			// transport. The channel's one send is consumed — recycle.
 			replyChans.Put(ch)
-			if reply.err == nil && !retransmitted {
+			if reply.err == nil && attempt == 0 {
 				// Karn's rule: only calls answered on their first
 				// transmission yield an RTT sample.
 				r.observe(time.Since(sent))
 			}
 			return reply.body, reply.err
 		case <-t.C:
-			lastCause = fmt.Errorf("%w: no reply within %v", ErrReplyTimeout, rto)
+			if cause == nil {
+				cause = fmt.Errorf("%w: no reply within %v", ErrReplyTimeout, rto)
+			}
+			lastCause = cause
 			rto = r.clamp(rto * 2)
 		}
 	}
 	r.majors.Add(1)
-	if c.unregister(xid) {
-		replyChans.Put(ch)
-	}
+	c.abandon(xid, ch)
 	return nil, fmt.Errorf("%w after %d transmits: %w", ErrMajorTimeout, r.p.MaxTransmits, lastCause)
 }

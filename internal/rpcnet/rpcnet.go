@@ -579,10 +579,11 @@ func (s *Server) process(msg []byte, out []byte, ev *TapEvent, info CallInfo) (r
 
 // Client is a pipelining RPC client over UDP or TCP. It is safe for
 // concurrent use by multiple goroutines: calls issued concurrently are
-// all in flight at once over the single connection — a writer goroutine
-// serializes sends, a reader goroutine demultiplexes replies to the
-// matching call by XID, and each call waits only on its own reply (or
-// its deadline). There is no one-outstanding-call lock.
+// all in flight at once over the single connection. Each caller writes
+// its own request under one write lock, as the server writes its
+// replies; there is no writer goroutine. A reader goroutine
+// demultiplexes replies to the matching call by XID, and each call
+// waits only on its own reply (or its deadline), holding no lock.
 type Client struct {
 	network string
 	conn    net.Conn
@@ -591,21 +592,17 @@ type Client struct {
 	xid     atomic.Uint32
 	timeout atomic.Int64 // per-call deadline for Call, in nanoseconds
 
-	sendCh  chan wireMsg
-	closeCh chan struct{} // closed once, by Close or transport failure
+	// wmu serializes socket writes. deadlineArmed, guarded by it,
+	// remembers whether a previous send left a write deadline on the
+	// socket, so switching to SetTimeout(0) disarms it once instead of
+	// letting the stale deadline fail a later send.
+	wmu           sync.Mutex
+	deadlineArmed bool
 
 	mu      sync.Mutex
 	pending map[uint32]chan callReply
 	err     error // first terminal transport error; nil while healthy
 	closing sync.Once
-}
-
-// wireMsg is one marshalled call handed to the writer goroutine. buf is
-// a pooled arena buffer (record mark included on TCP) that the writer
-// recycles after the send.
-type wireMsg struct {
-	xid uint32
-	buf *[]byte
 }
 
 // callReply is what the reader delivers to a waiting call.
@@ -633,13 +630,10 @@ func Dial(network, addr string, prog, vers uint32) (*Client, error) {
 	}
 	c := &Client{
 		network: network, conn: conn, prog: prog, vers: vers,
-		sendCh:  make(chan wireMsg, 64),
-		closeCh: make(chan struct{}),
 		pending: make(map[uint32]chan callReply),
 	}
 	c.timeout.Store(int64(5 * time.Second))
 	c.xid.Store(uint32(time.Now().UnixNano()))
-	go c.writer()
 	go c.reader()
 	return c, nil
 }
@@ -691,10 +685,10 @@ func (c *Client) Close() error {
 }
 
 // fail marks the transport dead with err (first error wins), closes the
-// socket to unblock the reader and writer, and fails every pending
-// call (sent or not — nothing can complete on a dead transport). It
-// returns the socket close error when this invocation performed the
-// close, nil otherwise.
+// socket to unblock the reader and any blocked sender, and fails every
+// pending call (sent or not — nothing can complete on a dead
+// transport). It returns the socket close error when this invocation
+// performed the close, nil otherwise.
 func (c *Client) fail(err error) error {
 	c.mu.Lock()
 	if c.err == nil {
@@ -703,10 +697,7 @@ func (c *Client) fail(err error) error {
 	err = c.err
 	c.mu.Unlock()
 	var closeErr error
-	c.closing.Do(func() {
-		close(c.closeCh)
-		closeErr = c.conn.Close()
-	})
+	c.closing.Do(func() { closeErr = c.conn.Close() })
 	c.drainPending(err)
 	return closeErr
 }
@@ -722,27 +713,13 @@ func (c *Client) drainPending(err error) {
 	}
 }
 
-// failOne fails a single in-flight call with err, if still pending.
-func (c *Client) failOne(xid uint32, err error) {
+// failed returns the terminal transport error: ErrClientClosed after
+// Close, the first fatal error after a transport failure, nil while
+// healthy.
+func (c *Client) failed() error {
 	c.mu.Lock()
-	ch, ok := c.pending[xid]
-	if ok {
-		delete(c.pending, xid)
-	}
-	c.mu.Unlock()
-	if ok {
-		ch <- callReply{err: err}
-	}
-}
-
-// isClosed reports whether Close or a terminal failure already ran.
-func (c *Client) isClosed() bool {
-	select {
-	case <-c.closeCh:
-		return true
-	default:
-		return false
-	}
+	defer c.mu.Unlock()
+	return c.err
 }
 
 // replyChans recycles per-call reply channels. A channel may return to
@@ -768,88 +745,60 @@ func (c *Client) register(xid uint32) (chan callReply, error) {
 	return ch, nil
 }
 
-// reregister re-installs a reply channel whose one send was already
-// consumed (a send-failure notification from failOne): the retry layer
-// keeps the same XID and channel across retransmissions. The caller
-// must own ch and have drained it.
-func (c *Client) reregister(xid uint32, ch chan callReply) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.err != nil {
-		return c.err
-	}
-	c.pending[xid] = ch
-	return nil
-}
-
-// unregister removes xid's reply channel (call abandoned: deadline passed).
-// A reply arriving later is dropped by the demultiplexer. It reports
-// whether the channel was still registered — if so, no sender can ever
-// reach it and the caller may recycle it; if not, a send is (or was) in
-// flight and the channel must be left to the garbage collector.
-func (c *Client) unregister(xid uint32) bool {
+// abandon removes xid's reply channel (deadline passed, or the request
+// never reached the wire); a reply arriving later is dropped by the
+// demultiplexer. The channel is recycled only if it was still
+// registered — then no sender can ever reach it; otherwise a send is
+// (or was) in flight and the channel is left to the garbage collector.
+func (c *Client) abandon(xid uint32, ch chan callReply) {
 	c.mu.Lock()
 	_, ok := c.pending[xid]
 	if ok {
 		delete(c.pending, xid)
 	}
 	c.mu.Unlock()
-	return ok
+	if ok {
+		replyChans.Put(ch)
+	}
 }
 
-// writer drains sendCh onto the socket, serializing sends from
-// concurrent calls. On TCP a send error kills the transport (the
-// stream is dead); on UDP it fails only that call — a connected UDP
-// socket's write error (ECONNREFUSED from a momentarily gone server)
-// is transient and later calls may succeed.
-func (c *Client) writer() {
-	// deadlineArmed remembers whether a previous send left a write
-	// deadline on the socket, so switching to SetTimeout(0) disarms it
-	// once instead of letting the stale deadline fail a later send.
-	deadlineArmed := false
-	for {
-		select {
-		case <-c.closeCh:
-			return
-		case m := <-c.sendCh:
-			// A write deadline keeps a stalled TCP peer (accepting but
-			// never reading, send buffer full) from wedging the writer
-			// forever; the blocked send errors out and fails the
-			// transport, as the pre-pipelining per-call deadline did.
-			// With no timeout configured a send cannot be abandoned
-			// early, so both the deadline and the pending-map liveness
-			// check (one mutex round-trip per send) are skipped.
-			var err error
-			if d := time.Duration(c.timeout.Load()); d > 0 {
-				// Skip calls already abandoned at their deadline.
-				c.mu.Lock()
-				_, live := c.pending[m.xid]
-				c.mu.Unlock()
-				if !live {
-					putBuf(m.buf)
-					continue
-				}
-				err = c.conn.SetWriteDeadline(time.Now().Add(d))
-				deadlineArmed = true
-			} else if deadlineArmed {
-				err = c.conn.SetWriteDeadline(time.Time{})
-				deadlineArmed = false
-			}
-			if err == nil {
-				// The record mark (TCP) is already embedded in the
-				// buffer, so both transports send with one write.
-				_, err = c.conn.Write(*m.buf)
-			}
-			putBuf(m.buf)
-			if err != nil {
-				if c.network == "tcp" {
-					c.fail(fmt.Errorf("%w: %w", ErrSendFailed, err))
-					return
-				}
-				c.failOne(m.xid, fmt.Errorf("%w: %w", ErrSendFailed, err))
-			}
-		}
+// send writes one marshalled call (record mark included on TCP) with a
+// single socket write under the write lock, then recycles bp. A write
+// deadline of the SetTimeout value keeps a stalled TCP peer (accepting
+// but never reading, send buffer full) from wedging the caller and
+// everyone queued on the lock behind it: the blocked write errors out
+// and fails the transport. On TCP any send error kills the transport
+// (the stream is dead); on UDP it fails only this call — a connected
+// UDP socket's write error (ECONNREFUSED from a momentarily gone
+// server) is transient and later calls may succeed. A send on a dead
+// client returns the client's terminal error (ErrClientClosed after
+// Close), not the socket's.
+func (c *Client) send(bp *[]byte) error {
+	var err error
+	c.wmu.Lock()
+	if d := time.Duration(c.timeout.Load()); d > 0 {
+		err = c.conn.SetWriteDeadline(time.Now().Add(d))
+		c.deadlineArmed = true
+	} else if c.deadlineArmed {
+		err = c.conn.SetWriteDeadline(time.Time{})
+		c.deadlineArmed = false
 	}
+	if err == nil {
+		_, err = c.conn.Write(*bp)
+	}
+	c.wmu.Unlock()
+	putBuf(bp)
+	if err == nil {
+		return nil
+	}
+	err = fmt.Errorf("%w: %w", ErrSendFailed, err)
+	if c.network == "tcp" {
+		c.fail(err)
+	}
+	if dead := c.failed(); dead != nil {
+		return dead
+	}
+	return err
 }
 
 // reader demultiplexes replies to pending calls by XID. Garbage and
@@ -886,7 +835,7 @@ func (c *Client) reader() {
 			raw = buf[:n]
 		}
 		if err != nil {
-			if c.network == "tcp" || c.isClosed() {
+			if c.network == "tcp" || c.failed() != nil {
 				c.fail(fmt.Errorf("rpcnet: recv: %w", err))
 				return
 			}
@@ -963,28 +912,32 @@ func releaseTimer(t *time.Timer) {
 // SetTimeout deadline (forever when the timeout is zero). Calls from
 // multiple goroutines are pipelined.
 func (c *Client) Call(proc uint32, args []byte) ([]byte, error) {
-	d := time.Duration(c.timeout.Load())
-	if d <= 0 {
-		return c.call(proc, args, nil)
+	var expired <-chan time.Time
+	if d := time.Duration(c.timeout.Load()); d > 0 {
+		t := acquireTimer(d)
+		defer releaseTimer(t)
+		expired = t.C
 	}
-	t := acquireTimer(d)
-	defer releaseTimer(t)
-	return c.call(proc, args, t.C)
+	xid, ch, err := c.start(proc, args)
+	if err != nil {
+		return nil, err
+	}
+	return c.await(xid, ch, expired)
 }
 
 // marshalCall assigns an XID and marshals record mark (TCP), RPC
 // header and arguments in one shot into a pooled buffer, recycled by
-// the writer after the send.
+// send after the socket write.
 func (c *Client) marshalCall(proc uint32, args []byte) (uint32, *[]byte) {
 	xid := c.xid.Add(1)
 	return xid, c.marshalCallXID(xid, proc, args)
 }
 
 // marshalCallXID marshals a call under a caller-chosen XID. The retry
-// layer re-marshals each retransmission under the original XID (the
-// writer recycles send buffers, so the bytes must be rebuilt) — same
-// XID on the wire is what lets the server's duplicate request cache
-// recognize the retry.
+// layer re-marshals each retransmission under the original XID (send
+// recycles its buffer, so the bytes must be rebuilt) — same XID on the
+// wire is what lets the server's duplicate request cache recognize the
+// retry.
 func (c *Client) marshalCallXID(xid uint32, proc uint32, args []byte) *[]byte {
 	call := sunrpc.Call{
 		XID: xid, Prog: c.prog, Vers: c.vers, Proc: proc,
@@ -1005,37 +958,25 @@ func (c *Client) marshalCallXID(xid uint32, proc uint32, args []byte) *[]byte {
 	return bp
 }
 
-// call is the body of Call. The call is abandoned when expired fires
-// (a nil channel never selects).
-func (c *Client) call(proc uint32, args []byte, expired <-chan time.Time) ([]byte, error) {
+// start issues one call: marshal, register the reply channel, write the
+// request. On error nothing stays registered.
+func (c *Client) start(proc uint32, args []byte) (uint32, chan callReply, error) {
 	xid, bp := c.marshalCall(proc, args)
 	ch, err := c.register(xid)
 	if err != nil {
 		putBuf(bp)
-		return nil, err
+		return 0, nil, err
 	}
-	// abandon tears down a call that will never complete; the reply
-	// channel is recycled only when it provably has no sender (see
-	// unregister).
-	abandon := func() {
-		if c.unregister(xid) {
-			replyChans.Put(ch)
-		}
+	if err := c.send(bp); err != nil {
+		c.abandon(xid, ch)
+		return 0, nil, err
 	}
-	select {
-	case c.sendCh <- wireMsg{xid: xid, buf: bp}:
-	case <-c.closeCh:
-		putBuf(bp)
-		abandon()
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		return nil, err
-	case <-expired:
-		putBuf(bp)
-		abandon()
-		return nil, fmt.Errorf("%w: %w", ErrReplyTimeout, context.DeadlineExceeded)
-	}
+	return xid, ch, nil
+}
+
+// await waits for xid's reply on ch. The call is abandoned when expired
+// fires (a nil channel never selects).
+func (c *Client) await(xid uint32, ch chan callReply, expired <-chan time.Time) ([]byte, error) {
 	select {
 	case r := <-ch:
 		// The single possible send has been received, so the channel is
@@ -1043,7 +984,7 @@ func (c *Client) call(proc uint32, args []byte, expired <-chan time.Time) ([]byt
 		replyChans.Put(ch)
 		return r.body, r.err
 	case <-expired:
-		abandon()
+		c.abandon(xid, ch)
 		return nil, fmt.Errorf("%w: %w", ErrReplyTimeout, context.DeadlineExceeded)
 	}
 }
@@ -1058,32 +999,15 @@ type Pending struct {
 }
 
 // Go starts an RPC and returns without waiting for the reply, which a
-// later Wait collects. Unlike spawning Call in a goroutine, Go issues
+// later Wait collects. Unlike spawning Call in a goroutine, Go writes
 // the request before returning: calls made by one goroutine through Go
-// are handed to the transport in program order, which is what lets an
-// open-loop trace replay fire a stream's requests on schedule while
-// preserving the stream's send order. Go blocks only for transport
-// backpressure (the writer's queue).
+// reach the socket in program order, which is what lets an open-loop
+// trace replay fire a stream's requests on schedule while preserving
+// the stream's send order. Go blocks for the socket write (behind any
+// concurrent caller's write), never for a reply.
 func (c *Client) Go(proc uint32, args []byte) *Pending {
-	xid, bp := c.marshalCall(proc, args)
-	ch, err := c.register(xid)
-	if err != nil {
-		putBuf(bp)
-		return &Pending{err: err}
-	}
-	select {
-	case c.sendCh <- wireMsg{xid: xid, buf: bp}:
-		return &Pending{c: c, xid: xid, ch: ch}
-	case <-c.closeCh:
-		putBuf(bp)
-		if c.unregister(xid) {
-			replyChans.Put(ch)
-		}
-		c.mu.Lock()
-		err := c.err
-		c.mu.Unlock()
-		return &Pending{err: err}
-	}
+	xid, ch, err := c.start(proc, args)
+	return &Pending{c: c, xid: xid, ch: ch, err: err}
 }
 
 // errWaited poisons a Pending whose single Wait already ran.
@@ -1096,26 +1020,13 @@ func (p *Pending) Wait(d time.Duration) ([]byte, error) {
 	if p.ch == nil {
 		return nil, p.err
 	}
-	if d <= 0 {
-		r := <-p.ch
-		replyChans.Put(p.ch)
-		p.ch, p.err = nil, errWaited
-		return r.body, r.err
+	ch := p.ch
+	p.ch, p.err = nil, errWaited
+	var expired <-chan time.Time
+	if d > 0 {
+		t := acquireTimer(d)
+		defer releaseTimer(t)
+		expired = t.C
 	}
-	t := acquireTimer(d)
-	defer releaseTimer(t)
-	select {
-	case r := <-p.ch:
-		replyChans.Put(p.ch)
-		p.ch, p.err = nil, errWaited
-		return r.body, r.err
-	case <-t.C:
-		// Recycle the channel only if no sender can reach it (see
-		// unregister); a racing reply leaves it to the collector.
-		if p.c.unregister(p.xid) {
-			replyChans.Put(p.ch)
-		}
-		p.ch, p.err = nil, errWaited
-		return nil, fmt.Errorf("%w: %w", ErrReplyTimeout, context.DeadlineExceeded)
-	}
+	return p.c.await(p.xid, ch, expired)
 }
