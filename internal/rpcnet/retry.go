@@ -218,7 +218,7 @@ func (r *Retrier) Call(proc uint32, args []byte) ([]byte, error) {
 		// buffer after its write, but the XID — the identity the
 		// server's DRC matches on — is the same every time.
 		sent := time.Now()
-		cause := c.send(c.marshalCallXID(xid, proc, args))
+		cause := c.send(c.marshalCallXID(xid, proc, args), nil)
 		if cause != nil {
 			if c.failed() != nil {
 				// Closed, or a dead TCP stream: nothing can complete.

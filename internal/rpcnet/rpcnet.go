@@ -592,11 +592,13 @@ type Client struct {
 	xid     atomic.Uint32
 	timeout atomic.Int64 // per-call deadline for Call, in nanoseconds
 
-	// wmu serializes socket writes. deadlineArmed, guarded by it,
-	// remembers whether a previous send left a write deadline on the
-	// socket, so switching to SetTimeout(0) disarms it once instead of
-	// letting the stale deadline fail a later send.
-	wmu           sync.Mutex
+	// wslot is the write lock: a one-slot semaphore rather than a
+	// mutex, so a caller queued behind other writes can give up at its
+	// own deadline. deadlineArmed, guarded by it, remembers whether a
+	// previous send left a write deadline on the socket, so switching
+	// to SetTimeout(0) disarms it once instead of letting the stale
+	// deadline fail a later send.
+	wslot         chan struct{}
 	deadlineArmed bool
 
 	mu      sync.Mutex
@@ -631,6 +633,7 @@ func Dial(network, addr string, prog, vers uint32) (*Client, error) {
 	c := &Client{
 		network: network, conn: conn, prog: prog, vers: vers,
 		pending: make(map[uint32]chan callReply),
+		wslot:   make(chan struct{}, 1),
 	}
 	c.timeout.Store(int64(5 * time.Second))
 	c.xid.Store(uint32(time.Now().UnixNano()))
@@ -763,19 +766,36 @@ func (c *Client) abandon(xid uint32, ch chan callReply) {
 }
 
 // send writes one marshalled call (record mark included on TCP) with a
-// single socket write under the write lock, then recycles bp. A write
-// deadline of the SetTimeout value keeps a stalled TCP peer (accepting
-// but never reading, send buffer full) from wedging the caller and
-// everyone queued on the lock behind it: the blocked write errors out
-// and fails the transport. On TCP any send error kills the transport
-// (the stream is dead); on UDP it fails only this call — a connected
-// UDP socket's write error (ECONNREFUSED from a momentarily gone
-// server) is transient and later calls may succeed. A send on a dead
-// client returns the client's terminal error (ErrClientClosed after
-// Close), not the socket's.
-func (c *Client) send(bp *[]byte) error {
+// single socket write under the write lock, then recycles bp. A caller
+// waiting for the lock gives up when expired fires, and one that gets
+// the lock after expired has fired skips the write: a call abandoned
+// at its deadline never reaches the wire, and a backlog of writes ahead
+// of it delays it by at most its own deadline (a nil expired waits as
+// long as it takes). A write deadline of the SetTimeout value keeps a
+// stalled TCP peer (accepting but never reading, send buffer full) from
+// wedging the writer: the blocked write errors out and fails the
+// transport. On TCP any send error kills the transport (the stream is
+// dead); on UDP it fails only this call — a connected UDP socket's
+// write error (ECONNREFUSED from a momentarily gone server) is
+// transient and later calls may succeed. A send on a dead client
+// returns the client's terminal error (ErrClientClosed after Close),
+// not the socket's.
+func (c *Client) send(bp *[]byte, expired <-chan time.Time) error {
+	select {
+	case c.wslot <- struct{}{}:
+	case <-expired:
+		putBuf(bp)
+		return errCallTimeout
+	}
+	// The select above picks at random when both cases are ready.
+	select {
+	case <-expired:
+		<-c.wslot
+		putBuf(bp)
+		return errCallTimeout
+	default:
+	}
 	var err error
-	c.wmu.Lock()
 	if d := time.Duration(c.timeout.Load()); d > 0 {
 		err = c.conn.SetWriteDeadline(time.Now().Add(d))
 		c.deadlineArmed = true
@@ -786,7 +806,7 @@ func (c *Client) send(bp *[]byte) error {
 	if err == nil {
 		_, err = c.conn.Write(*bp)
 	}
-	c.wmu.Unlock()
+	<-c.wslot
 	putBuf(bp)
 	if err == nil {
 		return nil
@@ -918,7 +938,7 @@ func (c *Client) Call(proc uint32, args []byte) ([]byte, error) {
 		defer releaseTimer(t)
 		expired = t.C
 	}
-	xid, ch, err := c.start(proc, args)
+	xid, ch, err := c.start(proc, args, expired)
 	if err != nil {
 		return nil, err
 	}
@@ -959,15 +979,16 @@ func (c *Client) marshalCallXID(xid uint32, proc uint32, args []byte) *[]byte {
 }
 
 // start issues one call: marshal, register the reply channel, write the
-// request. On error nothing stays registered.
-func (c *Client) start(proc uint32, args []byte) (uint32, chan callReply, error) {
+// request (unless expired fires first; see send). On error nothing
+// stays registered.
+func (c *Client) start(proc uint32, args []byte, expired <-chan time.Time) (uint32, chan callReply, error) {
 	xid, bp := c.marshalCall(proc, args)
 	ch, err := c.register(xid)
 	if err != nil {
 		putBuf(bp)
 		return 0, nil, err
 	}
-	if err := c.send(bp); err != nil {
+	if err := c.send(bp, expired); err != nil {
 		c.abandon(xid, ch)
 		return 0, nil, err
 	}
@@ -985,9 +1006,12 @@ func (c *Client) await(xid uint32, ch chan callReply, expired <-chan time.Time) 
 		return r.body, r.err
 	case <-expired:
 		c.abandon(xid, ch)
-		return nil, fmt.Errorf("%w: %w", ErrReplyTimeout, context.DeadlineExceeded)
+		return nil, errCallTimeout
 	}
 }
+
+// errCallTimeout is the error of a call abandoned at its deadline.
+var errCallTimeout = fmt.Errorf("%w: %w", ErrReplyTimeout, context.DeadlineExceeded)
 
 // Pending is an in-flight asynchronous call started by Go. Exactly one
 // Wait must be made on each Pending.
@@ -1006,7 +1030,7 @@ type Pending struct {
 // the stream's send order. Go blocks for the socket write (behind any
 // concurrent caller's write), never for a reply.
 func (c *Client) Go(proc uint32, args []byte) *Pending {
-	xid, ch, err := c.start(proc, args)
+	xid, ch, err := c.start(proc, args, nil)
 	return &Pending{c: c, xid: xid, ch: ch, err: err}
 }
 
