@@ -1,0 +1,54 @@
+package sim
+
+import (
+	"math/rand"
+	"testing"
+	"time"
+)
+
+// BenchmarkSchedule runs callback events through a heap holding about
+// 500 pending ones, the depth of a fig7 cell's. Each callback schedules
+// its successor at a random delay, so one op is one pop and one push.
+func BenchmarkSchedule(b *testing.B) {
+	const depth = 500
+	r := rand.New(rand.NewSource(1))
+	var delays [1024]time.Duration
+	for i := range delays {
+		delays[i] = time.Duration(r.Int63n(int64(time.Second)))
+	}
+	b.ReportAllocs()
+	k := NewKernel(1)
+	scheduled := 0
+	var fn func()
+	fn = func() {
+		if scheduled < b.N {
+			k.Schedule(delays[scheduled%len(delays)], fn)
+			scheduled++
+		}
+	}
+	for i := 0; i < depth; i++ {
+		fn()
+	}
+	k.Run()
+}
+
+// BenchmarkProcPingPong passes a message from one process to another
+// through a Chan and back. One op is one round trip: two wakes.
+func BenchmarkProcPingPong(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel(1)
+	ping, pong := NewChan[int](k), NewChan[int](k)
+	k.Go("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Send(i)
+			pong.Recv(p)
+		}
+	})
+	k.Go("pong", func(p *Proc) {
+		for {
+			pong.Send(ping.Recv(p))
+		}
+	})
+	k.Run()
+	k.Shutdown()
+}

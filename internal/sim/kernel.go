@@ -3,13 +3,17 @@
 // The kernel advances virtual time by draining a (time, sequence)-ordered
 // event heap. Simulated activities can be expressed either as plain event
 // callbacks or as processes: goroutines that run cooperatively, with the
-// guarantee that at any instant exactly one goroutine (the kernel or a
-// single process) is executing. All randomness is drawn from a single
-// seeded source, so runs with equal seeds are bit-for-bit identical.
+// guarantee that at any instant exactly one goroutine is executing. That
+// goroutine runs the event loop: RunUntil's caller to begin with, then
+// whichever process it resumes. A process that blocks or exits pops the
+// next events itself and hands control straight to the process they
+// resume, or continues if that process is itself; control returns to
+// RunUntil's caller only when no event is due. All randomness is drawn
+// from a single seeded source, so runs with equal seeds are bit-for-bit
+// identical.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -18,16 +22,18 @@ import (
 // Kernel is a discrete-event simulation executive.
 //
 // A Kernel must be used from a single OS-level flow of control: the
-// goroutine that calls Run and the process goroutines it hands control to
-// never run concurrently.
+// goroutine that calls Run and the process goroutines never run
+// concurrently, because control passes between them as a baton. Event
+// callbacks run on whichever of them holds it.
 type Kernel struct {
 	now    int64 // virtual time in nanoseconds
 	seq    int64 // tiebreaker for events scheduled at the same instant
-	events eventHeap
+	events []event
 	rng    *rand.Rand
+	limit  int64 // RunUntil's limit in virtual ns; negative means none
 
-	running *Proc         // process currently executing, nil if kernel
-	parked  chan struct{} // process -> kernel: "I have blocked or exited"
+	running *Proc         // process currently executing, nil if none
+	idle    chan struct{} // process -> RunUntil: "no event is due" or "killed"
 	procs   map[*Proc]struct{}
 
 	eventsRun int64
@@ -36,9 +42,9 @@ type Kernel struct {
 // NewKernel returns a kernel whose random source is seeded with seed.
 func NewKernel(seed int64) *Kernel {
 	return &Kernel{
-		rng:    rand.New(rand.NewSource(seed)),
-		parked: make(chan struct{}),
-		procs:  make(map[*Proc]struct{}),
+		rng:   rand.New(rand.NewSource(seed)),
+		idle:  make(chan struct{}),
+		procs: make(map[*Proc]struct{}),
 	}
 }
 
@@ -52,16 +58,11 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // runaway detection in tests.
 func (k *Kernel) EventsRun() int64 { return k.eventsRun }
 
-// Schedule arranges for fn to run at Now()+delay on the kernel goroutine.
-// fn must not block; use Go for blocking activities. Negative delays are
-// treated as zero. Schedule may be called from event callbacks and from
-// running processes.
+// Schedule arranges for fn to run at Now()+delay. fn must not block; use
+// Go for blocking activities. Negative delays are treated as zero.
+// Schedule may be called from event callbacks and from running processes.
 func (k *Kernel) Schedule(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	k.seq++
-	heap.Push(&k.events, &event{at: k.now + int64(delay), seq: k.seq, fn: fn})
+	k.push(delay, event{fn: fn})
 }
 
 // Run drains the event heap, advancing virtual time, until no events
@@ -75,21 +76,39 @@ func (k *Kernel) Run() {
 // start of the run). A negative limit means "run until the heap drains".
 // On return with a non-negative limit, Now() == limit.
 func (k *Kernel) RunUntil(limit time.Duration) {
-	for len(k.events) > 0 {
-		ev := k.events[0]
-		if limit >= 0 && ev.at > int64(limit) {
-			break
-		}
-		heap.Pop(&k.events)
-		if ev.at > k.now {
-			k.now = ev.at
-		}
-		k.eventsRun++
-		ev.fn()
+	k.limit = int64(limit)
+	if p := k.next(); p != nil {
+		p.resume <- struct{}{}
+		<-k.idle
 	}
 	if limit >= 0 && k.now < int64(limit) {
 		k.now = int64(limit)
 	}
+}
+
+// next runs due events in (at, seq) order until one resumes a live
+// process, which it marks running and returns. It returns nil when no
+// event is due before the limit. The caller holds control; callbacks run
+// with no process marked running.
+func (k *Kernel) next() *Proc {
+	k.running = nil
+	for len(k.events) > 0 {
+		if k.limit >= 0 && k.events[0].at > k.limit {
+			break
+		}
+		ev := k.pop()
+		if ev.at > k.now {
+			k.now = ev.at
+		}
+		k.eventsRun++
+		if ev.p == nil {
+			ev.fn()
+		} else if !ev.p.exited {
+			k.running = ev.p
+			return ev.p
+		}
+	}
+	return nil
 }
 
 // Shutdown kills every live process. Processes blocked in a kernel
@@ -100,63 +119,86 @@ func (k *Kernel) Shutdown() {
 	if k.running != nil {
 		panic("sim: Shutdown called from inside the simulation")
 	}
+	// Every live process waits on its resume channel: parked, or never
+	// started.
 	for p := range k.procs {
 		p.killed = true
-		if !p.started {
-			// Never entered its body; release it so the wrapper exits.
-			p.resume <- struct{}{}
-			<-k.parked
-			continue
-		}
-		if p.blocked {
-			p.resume <- struct{}{}
-			<-k.parked
-		}
+		p.resume <- struct{}{}
+		<-k.idle
 	}
 	if len(k.procs) != 0 {
 		panic(fmt.Sprintf("sim: %d processes survived shutdown", len(k.procs)))
 	}
 }
 
-// transfer hands control to p until it blocks or exits.
-func (k *Kernel) transfer(p *Proc) {
-	prev := k.running
-	k.running = p
-	p.blocked = false
-	p.resume <- struct{}{}
-	<-k.parked
-	k.running = prev
-}
-
 // wake schedules p to resume at the current instant. Each blocked process
 // must be woken exactly once per block; primitives enforce this by owning
 // their wait queues.
 func (k *Kernel) wake(p *Proc) {
-	k.Schedule(0, func() { k.transfer(p) })
+	k.push(0, event{p: p})
 }
 
+// event is either a callback (fn) or the resumption of a process (p).
 type event struct {
 	at  int64
 	seq int64
 	fn  func()
+	p   *Proc
 }
 
-type eventHeap []*event
+func (e *event) before(o *event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// push stamps ev with Now()+delay and the next sequence number and adds
+// it to the binary min-heap k.events.
+func (k *Kernel) push(delay time.Duration, ev event) {
+	if delay < 0 {
+		delay = 0
 	}
-	return h[i].seq < h[j].seq
+	k.seq++
+	ev.at, ev.seq = k.now+int64(delay), k.seq
+	k.events = append(k.events, ev)
+	h := k.events
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// pop removes and returns the earliest event.
+func (k *Kernel) pop() event {
+	h := k.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	h = h[:n]
+	k.events = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = last
+	return top
 }

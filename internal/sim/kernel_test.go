@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"math/rand"
+	"runtime"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -461,6 +465,360 @@ func TestCPUEqualJobsFireInSubmissionOrder(t *testing.T) {
 		}
 		if len(order) != jobs {
 			t.Fatalf("rep %d: %d of %d jobs completed", rep, len(order), jobs)
+		}
+	}
+}
+
+// TestEventOrderMatchesReference: random mixes of callbacks, sleeps and
+// wakes through every primitive, with many same-instant ties, fire in the
+// order a stable sort of their (at, seq) stamps gives.
+func TestEventOrderMatchesReference(t *testing.T) {
+	type stamp struct {
+		at, seq int64
+		id      int
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		k := NewKernel(seed)
+		r := rand.New(rand.NewSource(seed))
+		var want []stamp
+		var got []int
+		// expect stamps the event the kernel's next push creates.
+		expect := func(delay time.Duration) int {
+			id := len(want)
+			want = append(want, stamp{k.now + int64(max(delay, 0)), k.seq + 1, id})
+			return id
+		}
+		// delay spans -1..2 ms: negative delays clamp to now, so most
+		// events tie with others at their instant.
+		delay := func() time.Duration { return time.Duration(r.Intn(4)-1) * time.Millisecond }
+
+		ch := NewChan[int](k)
+		sem := NewSemaphore(k, 0)
+		ev := NewEvent(k)
+		pending := map[*Proc]int{} // the wake each blocked process waits for
+		send := func() {
+			if len(ch.recvq) > 0 {
+				pending[ch.recvq[0].p] = expect(0)
+			}
+			ch.Send(0)
+		}
+		release := func() {
+			if len(sem.q) > 0 {
+				pending[sem.q[0]] = expect(0)
+			}
+			sem.Release()
+		}
+		fire := func() {
+			if !ev.Fired() {
+				for _, w := range ev.waiters {
+					pending[w] = expect(0)
+				}
+			}
+			ev.Fire()
+		}
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			d := delay()
+			id := expect(d)
+			k.Schedule(d, func() {
+				got = append(got, id)
+				switch r.Intn(5) {
+				case 0:
+					send()
+				case 1:
+					release()
+				case 2:
+					if r.Intn(8) == 0 {
+						fire()
+					}
+				}
+				if depth < 3 && r.Intn(2) == 0 {
+					schedule(depth + 1)
+				}
+			})
+		}
+		body := func(p *Proc) {
+			got = append(got, pending[p])
+			for step := 0; step < 40; step++ {
+				switch r.Intn(7) {
+				case 0, 1:
+					d := delay()
+					pending[p] = expect(d)
+					p.Sleep(d)
+				case 2:
+					blocks := ch.Len() == 0
+					ch.Recv(p)
+					if !blocks {
+						continue
+					}
+				case 3:
+					blocks := sem.Available() == 0
+					sem.Acquire(p)
+					if !blocks {
+						continue
+					}
+				case 4:
+					blocks := !ev.Fired()
+					ev.Wait(p)
+					if !blocks {
+						continue
+					}
+				case 5:
+					schedule(0)
+					continue
+				case 6:
+					if r.Intn(2) == 0 {
+						send()
+					} else {
+						release()
+					}
+					continue
+				}
+				got = append(got, pending[p])
+			}
+		}
+		for i := 0; i < 8; i++ {
+			id := expect(0)
+			pending[k.Go("p", body)] = id
+			schedule(0)
+		}
+		k.Run()
+		k.Shutdown()
+
+		ref := append([]stamp(nil), want...)
+		sort.SliceStable(ref, func(i, j int) bool {
+			if ref[i].at != ref[j].at {
+				return ref[i].at < ref[j].at
+			}
+			return ref[i].seq < ref[j].seq
+		})
+		if int64(len(want)) != k.EventsRun() {
+			t.Fatalf("seed %d: stamped %d events, kernel ran %d", seed, len(want), k.EventsRun())
+		}
+		if len(got) != len(ref) {
+			t.Fatalf("seed %d: %d of %d events observed", seed, len(got), len(ref))
+		}
+		for i := range ref {
+			if got[i] != ref[i].id {
+				t.Fatalf("seed %d: event %d fired id %d, reference says id %d (at %v seq %d)",
+					seed, i, got[i], ref[i].id, time.Duration(ref[i].at), ref[i].seq)
+			}
+		}
+	}
+}
+
+// goid returns the calling goroutine's id, parsed from its stack header
+// ("goroutine N [running]:").
+func goid() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// TestHandoffPingPongAcrossLimits: two processes exchange 10k messages,
+// one per virtual microsecond; each RunUntil returns control at its limit
+// with exactly the rounds due by then done, and the next call resumes.
+func TestHandoffPingPongAcrossLimits(t *testing.T) {
+	const rounds = 10000
+	k := NewKernel(1)
+	ping, pong := NewChan[int](k), NewChan[int](k)
+	done := 0
+	k.Go("ping", func(p *Proc) {
+		for i := 0; i < rounds; i++ {
+			p.Sleep(time.Microsecond)
+			ping.Send(i)
+			if v := pong.Recv(p); v != i {
+				t.Errorf("round %d: pong returned %d", i, v)
+				return
+			}
+			done++
+		}
+	})
+	k.Go("pong", func(p *Proc) {
+		for {
+			pong.Send(ping.Recv(p))
+		}
+	})
+	for _, limit := range []time.Duration{0, 1500*time.Microsecond + 500, 4 * time.Millisecond, 7*time.Millisecond + 1} {
+		k.RunUntil(limit)
+		if k.Now() != limit {
+			t.Fatalf("RunUntil(%v) returned at %v", limit, k.Now())
+		}
+		if want := int(limit / time.Microsecond); done != want {
+			t.Fatalf("RunUntil(%v): %d rounds done, want %d", limit, done, want)
+		}
+	}
+	k.Run()
+	k.Shutdown()
+	if done != rounds {
+		t.Fatalf("%d of %d rounds done", done, rounds)
+	}
+}
+
+// TestHandoffExitResumesNextProcess: a process that exits runs the event
+// loop on its own goroutine and hands control to the next process due;
+// RunUntil's goroutine is not involved.
+func TestHandoffExitResumesNextProcess(t *testing.T) {
+	k := NewKernel(1)
+	driver := goid()
+	var exiter, callback string
+	var order []string
+	k.Go("exiter", func(p *Proc) {
+		exiter = goid()
+		order = append(order, "exiter")
+	})
+	k.Schedule(0, func() {
+		callback = goid()
+		order = append(order, "callback")
+	})
+	k.Go("next", func(p *Proc) { order = append(order, "next") })
+	k.Run()
+	k.Shutdown()
+	if strings.Join(order, ",") != "exiter,callback,next" {
+		t.Fatalf("order = %v", order)
+	}
+	if callback != exiter || callback == driver {
+		t.Fatalf("callback after the exit ran on goroutine %s; exiter %s, driver %s", callback, exiter, driver)
+	}
+}
+
+// TestHandoffSelfWakeContinues: a process woken at the instant it parks,
+// by a callback its own park ran, continues on its own goroutine.
+func TestHandoffSelfWakeContinues(t *testing.T) {
+	k := NewKernel(1)
+	driver := goid()
+	ch := NewChan[int](k)
+	var self, callback string
+	got := -1
+	k.Go("p", func(p *Proc) {
+		self = goid()
+		k.Schedule(0, func() {
+			callback = goid()
+			ch.Send(7)
+		})
+		got = ch.Recv(p)
+		for i := 0; i < 100; i++ {
+			p.Sleep(0)
+		}
+	})
+	k.Run()
+	k.Shutdown()
+	if got != 7 || k.Now() != 0 {
+		t.Fatalf("received %d at %v, want 7 at 0", got, k.Now())
+	}
+	if callback != self || callback == driver {
+		t.Fatalf("waking callback ran on goroutine %s; process %s, driver %s", callback, self, driver)
+	}
+}
+
+// TestShutdownAfterRunUntilReapsWokenProcs: after a RunUntil that leaves a
+// process woken but not yet resumed, one not yet started, one asleep past
+// the limit and one blocked for good, Shutdown reaps every goroutine, and
+// a later Run skips the stale resumptions.
+func TestShutdownAfterRunUntilReapsWokenProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel(1)
+	stuck, woken := NewChan[int](k), NewChan[int](k)
+	resumed := 0
+	k.Go("stuck", func(p *Proc) { stuck.Recv(p); resumed++ })
+	k.Go("woken", func(p *Proc) { woken.Recv(p); resumed++ })
+	k.Go("sleeper", func(p *Proc) { p.Sleep(time.Hour); resumed++ })
+	k.RunUntil(time.Millisecond)
+	woken.Send(1)
+	k.Go("unstarted", func(p *Proc) { resumed++ })
+	k.Shutdown()
+	if len(k.procs) != 0 {
+		t.Fatalf("%d procs survived Shutdown", len(k.procs))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after Shutdown, %d before the kernel", n, before)
+	}
+	k.Run()
+	if resumed != 0 {
+		t.Fatalf("%d killed processes resumed", resumed)
+	}
+}
+
+// TestWakeDoesNotAllocate pins the allocation-free path: resuming a
+// process costs no allocation for Sleep, Chan.Send→Recv,
+// Semaphore.Release or Event.Fire.
+func TestWakeDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const runs = 200
+	cases := []struct {
+		name  string
+		wakes int // per virtual millisecond
+		start func(k *Kernel)
+	}{
+		{"Sleep", 1, func(k *Kernel) {
+			k.Go("sleeper", func(p *Proc) {
+				for {
+					p.Sleep(time.Millisecond)
+				}
+			})
+		}},
+		{"Chan.Send→Recv", 2, func(k *Kernel) {
+			ch := NewChan[int](k)
+			k.Go("receiver", func(p *Proc) {
+				for {
+					ch.Recv(p)
+				}
+			})
+			k.Go("sender", func(p *Proc) {
+				for i := 0; ; i++ {
+					p.Sleep(time.Millisecond)
+					ch.Send(i)
+				}
+			})
+		}},
+		{"Semaphore.Release", 2, func(k *Kernel) {
+			sem := NewSemaphore(k, 0)
+			k.Go("acquirer", func(p *Proc) {
+				for {
+					sem.Acquire(p)
+				}
+			})
+			k.Go("releaser", func(p *Proc) {
+				for {
+					p.Sleep(time.Millisecond)
+					sem.Release()
+				}
+			})
+		}},
+		{"Event.Fire", 2, func(k *Kernel) {
+			evs := make([]*Event, 2*runs)
+			for i := range evs {
+				evs[i] = NewEvent(k)
+			}
+			k.Go("waiter", func(p *Proc) {
+				for _, ev := range evs {
+					ev.Wait(p)
+				}
+			})
+			k.Go("firer", func(p *Proc) {
+				for _, ev := range evs {
+					p.Sleep(time.Millisecond)
+					ev.Fire()
+				}
+			})
+		}},
+	}
+	for _, c := range cases {
+		k := NewKernel(1)
+		c.start(k)
+		step := func() { k.RunUntil(k.Now() + time.Millisecond) }
+		for i := 0; i < 10; i++ {
+			step() // grow the heap and wait queues to their working size
+		}
+		allocs := testing.AllocsPerRun(runs, step)
+		k.Shutdown()
+		if allocs != 0 {
+			t.Errorf("%s: %.0f allocations per %d wakes, want 0", c.name, allocs, c.wakes)
 		}
 	}
 }

@@ -9,49 +9,56 @@ func (killedError) Error() string { return "sim: process killed" }
 
 var errKilled = killedError{}
 
-// Proc is a simulated process: a goroutine that runs only when the kernel
-// hands it control and yields whenever it blocks on a kernel primitive.
+// Proc is a simulated process: a goroutine that runs only while it holds
+// control and that, when it blocks on a kernel primitive, runs the event
+// loop until control passes to another goroutine or back to itself.
 // All Proc methods must be called from the process's own goroutine.
 type Proc struct {
-	k       *Kernel
-	name    string
-	resume  chan struct{}
-	blocked bool
-	killed  bool
-	started bool
+	k      *Kernel
+	name   string
+	resume chan struct{}
+	killed bool
+	exited bool
 }
 
 // Go spawns a process named name running fn. The process starts at the
 // current virtual time (after already-scheduled events at this instant).
 func (k *Kernel) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), blocked: true}
+	p := &Proc{k: k, name: name, resume: make(chan struct{})}
 	k.procs[p] = struct{}{}
 	go func() {
 		defer func() {
-			if r := recover(); r != nil {
+			r := recover()
+			p.exited = true
+			delete(k.procs, p)
+			if r != nil {
 				if _, ok := r.(killedError); !ok {
 					// Real bug in simulation code: surface it loudly.
-					delete(k.procs, p)
-					k.parked <- struct{}{}
 					panic(r)
 				}
+				k.idle <- struct{}{} // back to Shutdown
+				return
 			}
-			delete(k.procs, p)
-			k.parked <- struct{}{}
+			k.handoff(k.next())
 		}()
 		<-p.resume
 		if p.killed {
 			panic(errKilled)
 		}
-		p.started = true
 		fn(p)
 	}()
-	k.Schedule(0, func() {
-		if _, live := k.procs[p]; live {
-			k.transfer(p)
-		}
-	})
+	k.push(0, event{p: p})
 	return p
+}
+
+// handoff passes control from the calling goroutine to q, the process
+// next returned, or to RunUntil's caller when q is nil.
+func (k *Kernel) handoff(q *Proc) {
+	if q != nil {
+		q.resume <- struct{}{}
+	} else {
+		k.idle <- struct{}{}
+	}
 }
 
 // Name returns the process name given at spawn time.
@@ -63,14 +70,21 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.k.Now() }
 
-// park yields control to the kernel until some primitive wakes this
-// process. It is the single blocking point for all process primitives.
+// park blocks the process until some primitive wakes it. It is the single
+// blocking point for all process primitives. The process runs the event
+// loop itself: if the first event that resumes a process resumes p, p
+// continues without a goroutine switch; otherwise p hands control on and
+// waits for its own resumption.
 func (p *Proc) park() {
-	if p.k.running != p {
+	k := p.k
+	if k.running != p {
 		panic("sim: blocking call from outside the running process (" + p.name + ")")
 	}
-	p.blocked = true
-	p.k.parked <- struct{}{}
+	q := k.next()
+	if q == p {
+		return
+	}
+	k.handoff(q)
 	<-p.resume
 	if p.killed {
 		panic(errKilled)
@@ -79,9 +93,6 @@ func (p *Proc) park() {
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	p.k.Schedule(d, func() { p.k.transfer(p) })
+	p.k.push(d, event{p: p})
 	p.park()
 }

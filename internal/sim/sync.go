@@ -11,6 +11,7 @@ type Chan[T any] struct {
 	k     *Kernel
 	items []T
 	recvq []*chanWaiter[T]
+	free  []*chanWaiter[T] // reused, so a blocking Recv does not allocate
 }
 
 type chanWaiter[T any] struct {
@@ -48,10 +49,20 @@ func (c *Chan[T]) Recv(p *Proc) T {
 		c.items = c.items[1:]
 		return v
 	}
-	w := &chanWaiter[T]{p: p}
+	var w *chanWaiter[T]
+	if n := len(c.free); n > 0 {
+		w = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		w = new(chanWaiter[T])
+	}
+	w.p = p
 	c.recvq = append(c.recvq, w)
 	p.park()
-	return w.val
+	v := w.val
+	*w = chanWaiter[T]{}
+	c.free = append(c.free, w)
+	return v
 }
 
 // TryRecv dequeues an item if one is immediately available.
@@ -118,6 +129,7 @@ type Event struct {
 	k       *Kernel
 	fired   bool
 	waiters []*Proc
+	first   [1]*Proc // backs waiters for a single waiter, so Wait does not allocate
 }
 
 // NewEvent returns an unfired event.
@@ -136,13 +148,16 @@ func (e *Event) Fire() {
 	for _, p := range e.waiters {
 		e.k.wake(p)
 	}
-	e.waiters = nil
+	e.waiters, e.first[0] = nil, nil
 }
 
 // Wait blocks p until the event fires.
 func (e *Event) Wait(p *Proc) {
 	if e.fired {
 		return
+	}
+	if e.waiters == nil {
+		e.waiters = e.first[:0]
 	}
 	e.waiters = append(e.waiters, p)
 	p.park()
