@@ -33,7 +33,7 @@ type Kernel struct {
 	limit  int64 // RunUntil's limit in virtual ns; negative means none
 
 	running *Proc         // process currently executing, nil if none
-	idle    chan struct{} // process -> RunUntil: "no event is due" or "killed"
+	idle    chan struct{} // a process returns control to RunUntil or Shutdown
 	procs   map[*Proc]struct{}
 
 	eventsRun int64
