@@ -114,6 +114,7 @@ type pendingCall struct {
 	res     nfsserver.Message
 	msg     netsim.Message
 	retries int
+	retrans *sim.Timer // UDP only: re-sends msg until a reply completes the call
 }
 
 type blockKey struct {
@@ -234,6 +235,9 @@ func (m *Mount) complete(r nfsserver.Reply) {
 		return
 	}
 	delete(m.pending, r.XID)
+	if pc.retrans != nil {
+		pc.retrans.Stop()
+	}
 	pc.res = r.Res
 	pc.done.Fire()
 }
@@ -276,25 +280,20 @@ func (m *Mount) call(p *sim.Proc, proc uint32, args nfsserver.Message) nfsserver
 		m.sndlock.Release()
 		m.cpu.Use(p, m.cfg.MarshalCPU+jitter)
 		m.udp.SendTo(m.server, msg)
-		m.scheduleRetrans(xid, m.cfg.RetransTimeout)
+		pc.retrans = m.k.AfterFunc(m.cfg.RetransTimeout, func() { m.retransmit(pc) })
 	}
 	pc.done.Wait(p)
 	return pc.res
 }
 
-// scheduleRetrans re-sends a still-pending UDP call after the timeout,
-// with exponential backoff.
-func (m *Mount) scheduleRetrans(xid uint32, timeout time.Duration) {
-	m.k.Schedule(timeout, func() {
-		pc, ok := m.pending[xid]
-		if !ok {
-			return
-		}
-		pc.retries++
-		m.stats.Retrans++
-		m.udp.SendTo(m.server, pc.msg)
-		m.scheduleRetrans(xid, 2*timeout)
-	})
+// retransmit re-sends a UDP call that its timer found still pending
+// (complete stops the timer) and re-arms the timer with exponential
+// backoff.
+func (m *Mount) retransmit(pc *pendingCall) {
+	pc.retries++
+	m.stats.Retrans++
+	m.udp.SendTo(m.server, pc.msg)
+	pc.retrans.Reset(m.cfg.RetransTimeout << pc.retries)
 }
 
 // nfsiod services asynchronous read-ahead jobs.

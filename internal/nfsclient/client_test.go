@@ -2,6 +2,7 @@ package nfsclient
 
 import (
 	"testing"
+	"time"
 
 	"nfstricks/internal/buffercache"
 	"nfstricks/internal/disk"
@@ -242,6 +243,83 @@ func TestUDPRetransmissionUnderLoss(t *testing.T) {
 	}
 	if r.mnt.Stats().Retrans == 0 {
 		t.Fatal("no retransmissions under 20% loss")
+	}
+}
+
+// TestUDPRetransmitTimersStopOnReply: on a lossless network no call is
+// retransmitted, and every call's retransmit timer leaves the heap with
+// its reply, so the heap is empty once the readers finish.
+func TestUDPRetransmitTimersStopOnReply(t *testing.T) {
+	r := newRig(t, Config{}, netsim.Config{})
+	const readers, size = 4, 512 << 10
+	running := readers
+	left := -1 // events in the heap when the last reader finished
+	for i := 0; i < readers; i++ {
+		name := string(rune('a' + i))
+		r.fs.Create(name, size)
+		r.k.Go("app", func(p *sim.Proc) {
+			rf, err := r.mnt.Open(p, r.root, name)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for off := int64(0); off < rf.Size(); off += BlockSize {
+				rf.Read(p, off, BlockSize)
+			}
+			if running--; running == 0 {
+				left = r.k.Pending()
+			}
+		})
+	}
+	// A limit, not Run: a timer that re-arms after its call completed
+	// must fail the test, not hang it.
+	r.k.RunUntil(time.Minute)
+	r.k.Shutdown()
+	st := r.mnt.Stats()
+	if running != 0 || st.Calls < readers*size/BlockSize {
+		t.Fatalf("%d readers unfinished, %d calls for %d blocks", running, st.Calls, readers*size/BlockSize)
+	}
+	if st.Retrans != 0 {
+		t.Fatalf("%d retransmissions on a lossless network", st.Retrans)
+	}
+	if left != 0 {
+		t.Fatalf("%d events in the heap when the readers finished, want 0", left)
+	}
+}
+
+// TestUDPRetransmitsOnlyPendingCalls: under loss, every retransmission
+// is for a call still awaiting its reply. A retransmission re-arms its
+// timer and only the reply stops it, so one fired for a completed call
+// would re-arm forever: once no call is pending, the heap must be empty.
+func TestUDPRetransmitsOnlyPendingCalls(t *testing.T) {
+	r := newRig(t, Config{RetransTimeout: 50 * time.Millisecond}, netsim.Config{LossProb: 0.2})
+	r.fs.Create("f", 256<<10)
+	done := false
+	r.k.Go("app", func(p *sim.Proc) {
+		rf, err := r.mnt.Open(p, r.root, "f")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for off := int64(0); off < rf.Size(); off += BlockSize {
+			rf.Read(p, off, BlockSize)
+		}
+		done = true
+	})
+	// Backoff doubles each timeout, so the last call may take many
+	// virtual hours; step until the reads and their read-aheads are done.
+	for day := 0; !done || len(r.mnt.pending) > 0; day++ {
+		if day == 1000 {
+			t.Fatalf("reads not done after %v: %d calls pending", r.k.Now(), len(r.mnt.pending))
+		}
+		r.k.RunUntil(r.k.Now() + 24*time.Hour)
+	}
+	r.k.Shutdown()
+	if r.mnt.Stats().Retrans == 0 {
+		t.Fatal("no retransmissions under 20% loss")
+	}
+	if n := r.k.Pending(); n != 0 {
+		t.Fatalf("no call pending at %v, but %d events in the heap", r.k.Now(), n)
 	}
 }
 

@@ -52,3 +52,26 @@ func BenchmarkProcPingPong(b *testing.B) {
 	k.Run()
 	k.Shutdown()
 }
+
+// BenchmarkCPUUse runs jobs through a CPU shared by four processes and
+// four background jobs, the busy client of fig6 and fig7. One op is one
+// Use: an arrival and a departure, each of which moves the completion
+// timer, and one wake.
+func BenchmarkCPUUse(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel(1)
+	cpu := NewCPU(k)
+	cpu.SetBackground(4)
+	n := 0
+	for i := 0; i < 4; i++ {
+		d := time.Duration(100+37*i) * time.Microsecond
+		k.Go("user", func(p *Proc) {
+			for n < b.N {
+				n++
+				cpu.Use(p, d)
+			}
+		})
+	}
+	k.Run()
+	k.Shutdown()
+}

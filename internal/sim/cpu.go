@@ -16,19 +16,24 @@ type CPU struct {
 	// jobs holds the runnable jobs in submission order, so jobs that
 	// finish at the same instant fire in that order and one seed gives
 	// one result.
-	jobs       []*cpuJob
-	lastUpdate int64 // virtual ns of the last remaining-work update
-	gen        int64 // invalidates stale completion events
+	jobs       []cpuJob
+	lastUpdate int64  // virtual ns of the last remaining-work update
+	done       *Timer // the next completion instant, pending while jobs run
 }
 
 type cpuJob struct {
 	remaining float64 // pure service time still owed, in ns
-	done      *Event
+	p         *Proc   // woken when the job completes
 }
 
 // NewCPU returns an idle CPU bound to k.
 func NewCPU(k *Kernel) *CPU {
-	return &CPU{k: k}
+	c := &CPU{k: k}
+	c.done = k.NewTimer(func() {
+		c.advance()
+		c.reschedule()
+	})
+	return c
 }
 
 // SetBackground sets the number of permanently-runnable background jobs
@@ -56,23 +61,10 @@ func (c *CPU) Use(p *Proc, d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	ev := c.Submit(d)
-	ev.Wait(p)
-}
-
-// Submit enqueues d of CPU work without blocking and returns an Event
-// that fires on completion. Useful from event callbacks.
-func (c *CPU) Submit(d time.Duration) *Event {
-	ev := NewEvent(c.k)
-	if d <= 0 {
-		ev.Fire()
-		return ev
-	}
 	c.advance()
-	j := &cpuJob{remaining: float64(d), done: ev}
-	c.jobs = append(c.jobs, j)
+	c.jobs = append(c.jobs, cpuJob{remaining: float64(d), p: p})
 	c.reschedule()
-	return ev
+	p.park()
 }
 
 // advance charges elapsed wall time against every active job's remaining
@@ -86,23 +78,23 @@ func (c *CPU) advance() {
 	}
 	rate := 1.0 / float64(len(c.jobs)+c.background)
 	served := float64(elapsed) * rate
-	for _, j := range c.jobs {
-		j.remaining -= served
+	for i := range c.jobs {
+		c.jobs[i].remaining -= served
 	}
 }
 
-// reschedule completes any finished jobs and schedules an event for the
-// next completion instant.
+// reschedule completes any finished jobs and moves the completion timer
+// to the next completion instant, or stops it when no job is left.
 func (c *CPU) reschedule() {
 	const eps = 0.5 // half a nanosecond of service
 
-	// Filtering in place is safe: Fire only schedules the waiters'
-	// wakeups, so nothing re-enters the CPU during the loop.
+	// Filtering in place is safe: wake only schedules the resumption,
+	// so nothing re-enters the CPU during the loop.
 	running := c.jobs[:0]
 	minRemaining := math.Inf(1)
 	for _, j := range c.jobs {
 		if j.remaining <= eps {
-			j.done.Fire()
+			c.k.wake(j.p)
 			continue
 		}
 		running = append(running, j)
@@ -111,19 +103,12 @@ func (c *CPU) reschedule() {
 	clear(c.jobs[len(running):])
 	c.jobs = running
 	if len(c.jobs) == 0 {
+		c.done.Stop()
 		return
 	}
 	wall := minRemaining * float64(len(c.jobs)+c.background)
 	if wall < 1 {
 		wall = 1
 	}
-	c.gen++
-	gen := c.gen
-	c.k.Schedule(time.Duration(math.Ceil(wall)), func() {
-		if gen != c.gen {
-			return // superseded by a later arrival/departure
-		}
-		c.advance()
-		c.reschedule()
-	})
+	c.done.Reset(time.Duration(math.Ceil(wall)))
 }

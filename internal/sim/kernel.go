@@ -1,8 +1,8 @@
 // Package sim implements a deterministic discrete-event simulation kernel.
 //
-// The kernel advances virtual time by draining a (time, sequence)-ordered
-// event heap. Simulated activities can be expressed either as plain event
-// callbacks or as processes: goroutines that run cooperatively, with the
+// The kernel advances virtual time by running pending events in (time,
+// sequence) order. Simulated activities can be expressed either as plain
+// event callbacks or as processes: goroutines that run cooperatively, with the
 // guarantee that at any instant exactly one goroutine is executing. That
 // goroutine runs the event loop: RunUntil's caller to begin with, then
 // whichever process it resumes. A process that blocks or exits pops the
@@ -26,17 +26,23 @@ import (
 // concurrently, because control passes between them as a baton. Event
 // callbacks run on whichever of them holds it.
 type Kernel struct {
-	now    int64 // virtual time in nanoseconds
-	seq    int64 // tiebreaker for events scheduled at the same instant
-	events []event
-	rng    *rand.Rand
-	limit  int64 // RunUntil's limit in virtual ns; negative means none
+	now    int64   // virtual time in nanoseconds
+	seq    int64   // tiebreaker for events scheduled at the same instant
+	events []event // binary min-heap on (at, seq)
+	// due holds the events pushed with no delay, from index head on, in
+	// seq order. All are at now: time moves only past an empty queue.
+	due   []event
+	head  int
+	rng   *rand.Rand
+	limit int64 // RunUntil's limit in virtual ns; negative means none
 
 	running *Proc         // process currently executing, nil if none
 	idle    chan struct{} // a process returns control to RunUntil or Shutdown
 	procs   map[*Proc]struct{}
 
 	eventsRun int64
+	depthSum  int64 // Pending() summed over the events run
+	peakDepth int
 }
 
 // NewKernel returns a kernel whose random source is seeded with seed.
@@ -57,6 +63,20 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // EventsRun reports the number of events executed so far; useful for
 // runaway detection in tests.
 func (k *Kernel) EventsRun() int64 { return k.eventsRun }
+
+// Pending reports the number of pending events, in the heap and the due
+// queue: callbacks, armed timers and process resumptions not yet run.
+func (k *Kernel) Pending() int { return len(k.events) + len(k.due) - k.head }
+
+// HeapDepth reports how many events are pending, in the heap and the due
+// queue together: the mean, sampled as each event runs (counting that
+// event), and the peak since NewKernel.
+func (k *Kernel) HeapDepth() (mean float64, peak int) {
+	if k.eventsRun > 0 {
+		mean = float64(k.depthSum) / float64(k.eventsRun)
+	}
+	return mean, k.peakDepth
+}
 
 // Schedule arranges for fn to run at Now()+delay. fn must not block; use
 // Go for blocking activities. Negative delays are treated as zero.
@@ -92,11 +112,11 @@ func (k *Kernel) RunUntil(limit time.Duration) {
 // with no process marked running.
 func (k *Kernel) next() *Proc {
 	k.running = nil
-	for len(k.events) > 0 {
-		if k.limit >= 0 && k.events[0].at > k.limit {
-			break
+	for {
+		ev, ok := k.take()
+		if !ok {
+			return nil
 		}
-		ev := k.pop()
 		if ev.at > k.now {
 			k.now = ev.at
 		}
@@ -108,7 +128,34 @@ func (k *Kernel) next() *Proc {
 			return ev.p
 		}
 	}
-	return nil
+}
+
+// take removes and returns the earliest event, from the due queue or the
+// heap, unless none is due by the limit.
+func (k *Kernel) take() (event, bool) {
+	fromDue := k.head < len(k.due) && (len(k.events) == 0 || k.due[k.head].before(&k.events[0]))
+	var first *event
+	switch {
+	case fromDue:
+		first = &k.due[k.head]
+	case len(k.events) > 0:
+		first = &k.events[0]
+	default:
+		return event{}, false
+	}
+	if k.limit >= 0 && first.at > k.limit {
+		return event{}, false
+	}
+	k.depthSum += int64(k.Pending())
+	if !fromDue {
+		return k.pop(), true
+	}
+	ev := *first
+	*first = event{}
+	if k.head++; k.head == len(k.due) {
+		k.due, k.head = k.due[:0], 0
+	}
+	return ev, true
 }
 
 // Shutdown kills every live process. Processes blocked in a kernel
@@ -138,53 +185,100 @@ func (k *Kernel) wake(p *Proc) {
 	k.push(0, event{p: p})
 }
 
-// event is either a callback (fn) or the resumption of a process (p).
+// event is either a callback (fn) or the resumption of a process (p). A
+// Timer's callback also carries the timer (t), whose index the heap keeps
+// up to date on every move so that Stop can find the event.
 type event struct {
 	at  int64
 	seq int64
 	fn  func()
 	p   *Proc
+	t   *Timer
 }
 
 func (e *event) before(o *event) bool {
 	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
 
-// push stamps ev with Now()+delay and the next sequence number and adds
-// it to the binary min-heap k.events.
+// push stamps ev with Now()+delay and the next sequence number. An event
+// due now goes to the back of the due queue, unless a timer must be able
+// to find it; any other goes into the heap.
 func (k *Kernel) push(delay time.Duration, ev event) {
-	if delay < 0 {
-		delay = 0
+	ev.at, ev.seq = k.stamp(delay)
+	if ev.at == k.now && ev.t == nil {
+		k.due = append(k.due, ev)
+	} else {
+		k.events = append(k.events, event{})
+		k.up(len(k.events)-1, ev)
 	}
+	k.peakDepth = max(k.peakDepth, k.Pending())
+}
+
+// stamp returns the instant Now()+delay, with negative delays treated as
+// zero, and the next sequence number.
+func (k *Kernel) stamp(delay time.Duration) (at, seq int64) {
 	k.seq++
-	ev.at, ev.seq = k.now+int64(delay), k.seq
-	k.events = append(k.events, ev)
+	return k.now + int64(max(delay, 0)), k.seq
+}
+
+// pop removes and returns the earliest event.
+func (k *Kernel) pop() event {
+	top := k.events[0]
+	k.removeAt(0)
+	return top
+}
+
+// removeAt takes the event at index i out of the heap, filling the hole
+// with the last event.
+func (k *Kernel) removeAt(i int) {
 	h := k.events
-	i := len(h) - 1
+	if h[i].t != nil {
+		h[i].t.i = -1
+	}
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{}
+	k.events = h[:n]
+	if i < n {
+		k.fix(i, last)
+	}
+}
+
+// fix places ev at the hole i, or above or below it as its order needs.
+func (k *Kernel) fix(i int, ev event) {
+	if i > 0 && ev.before(&k.events[(i-1)/2]) {
+		k.up(i, ev)
+	} else {
+		k.down(i, ev)
+	}
+}
+
+// set places ev at index i and tells its timer.
+func (k *Kernel) set(i int, ev event) {
+	k.events[i] = ev
+	if ev.t != nil {
+		ev.t.i = i
+	}
+}
+
+// up places ev at the hole i or above it, moving parents down.
+func (k *Kernel) up(i int, ev event) {
+	h := k.events
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !ev.before(&h[parent]) {
 			break
 		}
-		h[i] = h[parent]
+		k.set(i, h[parent])
 		i = parent
 	}
-	h[i] = ev
+	k.set(i, ev)
 }
 
-// pop removes and returns the earliest event.
-func (k *Kernel) pop() event {
+// down places ev at the hole i or below it, moving children up.
+func (k *Kernel) down(i int, ev event) {
 	h := k.events
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = event{}
-	h = h[:n]
-	k.events = h
-	if n == 0 {
-		return top
-	}
-	i := 0
+	n := len(h)
 	for {
 		child := 2*i + 1
 		if child >= n {
@@ -193,12 +287,11 @@ func (k *Kernel) pop() event {
 		if r := child + 1; r < n && h[r].before(&h[child]) {
 			child = r
 		}
-		if !h[child].before(&last) {
+		if !h[child].before(&ev) {
 			break
 		}
-		h[i] = h[child]
+		k.set(i, h[child])
 		i = child
 	}
-	h[i] = last
-	return top
+	k.set(i, ev)
 }

@@ -469,9 +469,10 @@ func TestCPUEqualJobsFireInSubmissionOrder(t *testing.T) {
 	}
 }
 
-// TestEventOrderMatchesReference: random mixes of callbacks, sleeps and
-// wakes through every primitive, with many same-instant ties, fire in the
-// order a stable sort of their (at, seq) stamps gives.
+// TestEventOrderMatchesReference: random mixes of callbacks, sleeps,
+// wakes through every primitive and Timer Resets and Stops, with many
+// same-instant ties, fire in the order a stable sort of their (at, seq)
+// stamps gives, less the firings that Reset or Stop cancelled.
 func TestEventOrderMatchesReference(t *testing.T) {
 	type stamp struct {
 		at, seq int64
@@ -496,6 +497,43 @@ func TestEventOrderMatchesReference(t *testing.T) {
 		sem := NewSemaphore(k, 0)
 		ev := NewEvent(k)
 		pending := map[*Proc]int{} // the wake each blocked process waits for
+		cancelled := map[int]bool{}
+		timers := make([]*Timer, 8)
+		armed := make([]int, len(timers)) // each timer's pending firing, -1 if none
+		reset := func(i int) {
+			if armed[i] >= 0 {
+				cancelled[armed[i]] = true
+			}
+			d := delay()
+			armed[i] = expect(d)
+			timers[i].Reset(d)
+		}
+		stop := func(i int) {
+			if was := timers[i].Stop(); was != (armed[i] >= 0) {
+				t.Fatalf("seed %d: timer %d Stop = %v, want %v", seed, i, was, !was)
+			}
+			if armed[i] >= 0 {
+				cancelled[armed[i]] = true
+				armed[i] = -1
+			}
+		}
+		for i := range timers {
+			armed[i] = -1
+			timers[i] = k.NewTimer(func() {
+				got = append(got, armed[i])
+				armed[i] = -1
+				if r.Intn(2) == 0 {
+					reset(i) // re-arm from its own callback
+				}
+			})
+		}
+		timerOp := func() {
+			if i := r.Intn(len(timers)); r.Intn(3) == 0 {
+				stop(i)
+			} else {
+				reset(i)
+			}
+		}
 		send := func() {
 			if len(ch.recvq) > 0 {
 				pending[ch.recvq[0].p] = expect(0)
@@ -522,7 +560,7 @@ func TestEventOrderMatchesReference(t *testing.T) {
 			id := expect(d)
 			k.Schedule(d, func() {
 				got = append(got, id)
-				switch r.Intn(5) {
+				switch r.Intn(6) {
 				case 0:
 					send()
 				case 1:
@@ -531,6 +569,8 @@ func TestEventOrderMatchesReference(t *testing.T) {
 					if r.Intn(8) == 0 {
 						fire()
 					}
+				case 3, 4:
+					timerOp()
 				}
 				if depth < 3 && r.Intn(2) == 0 {
 					schedule(depth + 1)
@@ -540,7 +580,7 @@ func TestEventOrderMatchesReference(t *testing.T) {
 		body := func(p *Proc) {
 			got = append(got, pending[p])
 			for step := 0; step < 40; step++ {
-				switch r.Intn(7) {
+				switch r.Intn(8) {
 				case 0, 1:
 					d := delay()
 					pending[p] = expect(d)
@@ -573,6 +613,9 @@ func TestEventOrderMatchesReference(t *testing.T) {
 						release()
 					}
 					continue
+				case 7:
+					timerOp()
+					continue
 				}
 				got = append(got, pending[p])
 			}
@@ -582,18 +625,38 @@ func TestEventOrderMatchesReference(t *testing.T) {
 			pending[k.Go("p", body)] = id
 			schedule(0)
 		}
+		// churn keeps the timers moving while the mix above runs down.
+		churn := func(p *Proc) {
+			got = append(got, pending[p])
+			for step := 0; step < 40; step++ {
+				timerOp()
+				d := delay()
+				pending[p] = expect(d)
+				p.Sleep(d)
+				got = append(got, pending[p])
+			}
+		}
+		pending[k.Go("churn", churn)] = expect(0)
 		k.Run()
 		k.Shutdown()
 
-		ref := append([]stamp(nil), want...)
+		var ref []stamp
+		for _, w := range want {
+			if !cancelled[w.id] {
+				ref = append(ref, w)
+			}
+		}
 		sort.SliceStable(ref, func(i, j int) bool {
 			if ref[i].at != ref[j].at {
 				return ref[i].at < ref[j].at
 			}
 			return ref[i].seq < ref[j].seq
 		})
-		if int64(len(want)) != k.EventsRun() {
-			t.Fatalf("seed %d: stamped %d events, kernel ran %d", seed, len(want), k.EventsRun())
+		if int64(len(ref)) != k.EventsRun() {
+			t.Fatalf("seed %d: stamped %d live events, kernel ran %d", seed, len(ref), k.EventsRun())
+		}
+		if len(cancelled) == 0 {
+			t.Fatalf("seed %d: no timer firing was cancelled", seed)
 		}
 		if len(got) != len(ref) {
 			t.Fatalf("seed %d: %d of %d events observed", seed, len(got), len(ref))
@@ -604,6 +667,42 @@ func TestEventOrderMatchesReference(t *testing.T) {
 					seed, i, got[i], ref[i].id, time.Duration(ref[i].at), ref[i].seq)
 			}
 		}
+	}
+}
+
+// TestTimerStopReports: Stop reports true only for a pending firing, and
+// a stopped or moved firing neither runs nor holds the drained clock.
+func TestTimerStopReports(t *testing.T) {
+	k := NewKernel(1)
+	var fired []time.Duration
+	tm := k.AfterFunc(time.Hour, func() { fired = append(fired, k.Now()) })
+	if !tm.Stop() {
+		t.Fatal("Stop on a pending timer = false")
+	}
+	if tm.Stop() {
+		t.Fatal("second Stop = true")
+	}
+	k.Run()
+	if len(fired) != 0 || k.Now() != 0 || k.EventsRun() != 0 {
+		t.Fatalf("stopped timer: fired at %v, clock %v, %d events run", fired, k.Now(), k.EventsRun())
+	}
+
+	tm.Reset(time.Hour)
+	tm.Reset(2 * time.Millisecond) // moves the firing; it does not add one
+	k.Schedule(time.Millisecond, func() {
+		if tm.Stop() {
+			tm.Reset(3 * time.Millisecond) // due at 4 ms
+		}
+	})
+	k.Run()
+	if len(fired) != 1 || fired[0] != 4*time.Millisecond || k.Now() != 4*time.Millisecond {
+		t.Fatalf("fired at %v, clock %v; want once at 4ms", fired, k.Now())
+	}
+	if tm.Stop() {
+		t.Fatal("Stop after the timer fired = true")
+	}
+	if mean, peak := k.HeapDepth(); peak != 2 || mean != 1.5 {
+		t.Fatalf("HeapDepth = %v, %d; want 1.5, 2", mean, peak)
 	}
 }
 
@@ -744,7 +843,8 @@ func TestShutdownAfterRunUntilReapsWokenProcs(t *testing.T) {
 
 // TestWakeDoesNotAllocate pins the allocation-free path: resuming a
 // process costs no allocation for Sleep, Chan.Send→Recv,
-// Semaphore.Release or Event.Fire.
+// Semaphore.Release, Event.Fire or a contended CPU.Use, and moving or
+// stopping a Timer costs none either.
 func TestWakeDoesNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -787,6 +887,33 @@ func TestWakeDoesNotAllocate(t *testing.T) {
 				for {
 					p.Sleep(time.Millisecond)
 					sem.Release()
+				}
+			})
+		}},
+		{"CPU.Use", 4, func(k *Kernel) {
+			// Four staggered users and four background jobs: each
+			// arrival and departure moves the completion timer.
+			cpu := NewCPU(k)
+			cpu.SetBackground(4)
+			for i := 0; i < 4; i++ {
+				k.Go("user", func(p *Proc) {
+					p.Sleep(time.Duration(i) * 50 * time.Microsecond)
+					for {
+						cpu.Use(p, 125*time.Microsecond)
+					}
+				})
+			}
+		}},
+		{"Timer.Reset/Stop", 2, func(k *Kernel) {
+			tm := k.NewTimer(func() {})
+			k.Go("resetter", func(p *Proc) {
+				for {
+					tm.Reset(time.Millisecond / 4)
+					tm.Reset(time.Millisecond)
+					p.Sleep(time.Millisecond / 2)
+					tm.Stop()
+					tm.Reset(time.Millisecond / 4)
+					p.Sleep(time.Millisecond / 2)
 				}
 			})
 		}},

@@ -225,3 +225,40 @@ func TestPerReaderTimesRecorded(t *testing.T) {
 		}
 	}
 }
+
+// TestBusyClientHeapHoldsLiveWork runs one fig7 cell (ide1, UDP, busy
+// client, 16 readers at scale 32) and checks that the kernel holds only
+// live work. The cell's live events peak at a few dozen; retransmit
+// timers left pending after their replies, or superseded CPU
+// completions, would push it toward a thousand. Nothing may outlive
+// the workload, so the heap drains at the instant the last reader
+// finishes.
+func TestBusyClientHeapHoldsLiveWork(t *testing.T) {
+	tb, err := testbed.New(testbed.Options{
+		Seed: 3, Disk: testbed.IDE, Partition: 1, BusyProcs: 4,
+		Server: nfsserver.Config{Heuristic: readahead.Default{}, Table: nfsheur.ImprovedParams()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CreateFileSet(tb.FS, 32); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Start(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunNFSReaders(tb, FilesFor(16))
+	tb.K.Shutdown()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, peak := tb.K.HeapDepth()
+	t.Logf("%d events, heap depth mean %.1f peak %d, elapsed %v, drained at %v",
+		tb.K.EventsRun(), mean, peak, res.Elapsed, tb.K.Now())
+	if peak > 64 {
+		t.Errorf("heap peaked at %d events, want at most 64", peak)
+	}
+	if tb.K.Now() != res.Elapsed {
+		t.Errorf("heap drained at %v, workload ended at %v", tb.K.Now(), res.Elapsed)
+	}
+}
